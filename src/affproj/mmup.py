@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
@@ -139,7 +140,6 @@ class MmupProblem:
     b: np.ndarray           # n x p
     c: np.ndarray           # n x p
     w: np.ndarray           # 2n x p, C stacked on B
-    ihat: np.ndarray        # 2n x n, two identities
     set_s: CustomSet = field(repr=False, default=None)
     set_v: CustomSet = field(repr=False, default=None)
 
@@ -159,6 +159,11 @@ class MmupProblem:
     @property
     def dim(self) -> int:
         return 4 * self.n * self.n
+
+    @cached_property
+    def wtw_inv(self) -> np.ndarray:
+        """(W^T W)^{-1}, computed on first use; w must not change after."""
+        return np.linalg.inv(self.w.T @ self.w)
 
     def flatten(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float).reshape(-1)
@@ -180,21 +185,22 @@ def build_problem(pencil: PencilData, targets: TargetSpectrum) -> MmupProblem:
     sv = np.linalg.svd(W.T @ W, compute_uv=False)
     if sv[-1] <= RCOND * sv[0] or sv[0] == 0.0:
         raise ValueError("W^T W is singular: target eigenvector data is degenerate")
-    Ihat = np.vstack([np.eye(n), np.eye(n)])
     X0 = np.zeros((2 * n, 2 * n))
     X0[:n, :n] = pencil.k
     X0[n:, n:] = pencil.d
     prob = MmupProblem(pencil=pencil, targets=targets, x0=X0,
-                       a=A, b=B, c=C, w=W, ihat=Ihat)
+                       a=A, b=B, c=C, w=W)
     dim = 4 * n * n
     prob.set_s = CustomSet(
         dim,
         lambda x: project_s(x.reshape(2 * n, 2 * n)).reshape(-1),
+        residual_fn=lambda x: _s_distance(x.reshape(2 * n, 2 * n)),
         rows_fn=lambda: _rows_tuple(export_rows_s(n)),
     )
     prob.set_v = CustomSet(
         dim,
         lambda x: project_v(x.reshape(2 * n, 2 * n), prob).reshape(-1),
+        residual_fn=lambda x: _v_distance(prob, x.reshape(2 * n, 2 * n)),
         rows_fn=lambda: _rows_tuple(export_rows_v(prob)),
     )
     return prob
@@ -221,18 +227,43 @@ def project_s(X) -> np.ndarray:
     return out
 
 
+def _s_distance(X) -> float:
+    """||X - project_s(X)||_F: the off-diagonal blocks together with the
+    antisymmetric halves of the diagonal blocks."""
+    n = X.shape[0] // 2
+    off = X[:n, n:], X[n:, :n]
+    skew = 0.5 * (X[:n, :n] - X[:n, :n].T), 0.5 * (X[n:, n:] - X[n:, n:].T)
+    return float(np.sqrt(sum(float(np.vdot(b, b)) for b in off + skew)))
+
+
+def _constraint(prob: MmupProblem, X) -> np.ndarray:
+    """R = A + Ihat^T X W, with Ihat^T X = X[:n] + X[n:] (no dense Ihat)."""
+    n = prob.n
+    return prob.a + (X[:n] + X[n:]) @ prob.w
+
+
 def project_v(X, prob: MmupProblem) -> np.ndarray:
     """Closed-form projection onto {X : A + Ihat^T X W = 0}.
 
     The correction has the form Ihat Sigma W^T; since Ihat^T Ihat = 2I,
     requiring the constraint after the update gives
-    Sigma = -1/2 (A + Ihat^T X W) (W^T W)^{-1}.
+    Sigma = -1/2 R (W^T W)^{-1} with R = A + Ihat^T X W.  Ihat M stacks
+    M on itself, so the correction adds Sigma W^T to both row blocks.
     """
     X = as_matrix(X)
-    W, Ihat = prob.w, prob.ihat
-    R = prob.a + Ihat.T @ X @ W
-    Sigma = -0.5 * np.linalg.solve(W.T @ W, R.T).T
-    return X + Ihat @ Sigma @ W.T
+    n = prob.n
+    step = (-0.5 * _constraint(prob, X) @ prob.wtw_inv) @ prob.w.T
+    out = X.copy()
+    out[:n] += step
+    out[n:] += step
+    return out
+
+
+def _v_distance(prob: MmupProblem, X) -> float:
+    """||X - project_v(X)||_F = ||Ihat Sigma W^T||_F
+    = sqrt(1/2 sum(R * (R (W^T W)^{-1})))."""
+    R = _constraint(prob, X)
+    return float(np.sqrt(max(0.0, 0.5 * float(np.sum(R * (R @ prob.wtw_inv))))))
 
 
 def pencil_residual(prob: MmupProblem, X) -> float:
@@ -240,7 +271,7 @@ def pencil_residual(prob: MmupProblem, X) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = prob.unflatten(X)
-    return norm(prob.a + prob.ihat.T @ X @ prob.w)
+    return norm(_constraint(prob, X))
 
 
 def export_rows_s(n: int) -> StackedConstraints:

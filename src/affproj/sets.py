@@ -15,7 +15,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import TOL_FEAS, TOL_LIN, as_matrix, as_point, gram_solve, inner, lstsq_min_norm, norm
+from .linalg import RCOND, TOL_FEAS, as_matrix, as_point, gram_solve, norm
+# This module does not call lstsq_min_norm, but perfbench/spans.py wraps
+# affproj.sets.lstsq_min_norm for its per-layer split, so the name stays here.
+from .linalg import lstsq_min_norm  # noqa: F401
 
 
 class InfeasibleSetError(RuntimeError):
@@ -62,24 +65,12 @@ def project_hyperplane(x, h: Hyperplane) -> np.ndarray:
 
 
 def project_row_constraint(x, C, d) -> np.ndarray:
-    """Exact projection onto {x : C x = d} via the Gram system (C C^T) lam = C x - d.
+    """Exact projection onto {x : C x = d}; see RowConstraintSet.
 
-    Raises InfeasibleSetError when the system is inconsistent (post-solve
-    residual above TOL_FEAS).
+    Raises ValueError on dimension mismatches and InfeasibleSetError when
+    the system is inconsistent.
     """
-    x = as_point(x)
-    C = as_matrix(C)
-    d = as_point(d)
-    if C.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {C.shape[1]} columns vs point of dim {x.shape[0]}")
-    if C.shape[0] != d.shape[0]:
-        raise ValueError(f"dimension mismatch: {C.shape[0]} rows vs rhs of dim {d.shape[0]}")
-    r = C @ x - d
-    lam = lstsq_min_norm(C @ C.T, r)
-    p = x - C.T @ lam
-    if norm(C @ p - d) > TOL_FEAS * max(1.0, norm(d)):
-        raise InfeasibleSetError("row system C x = d is inconsistent")
-    return p
+    return RowConstraintSet(C, d).project(x)
 
 
 def _intersection_step(x: np.ndarray, hyperplanes: Sequence[Hyperplane]):
@@ -157,17 +148,57 @@ class HyperplaneSet(AffineSet):
 
 
 class RowConstraintSet(AffineSet):
-    """{x : C x = d}."""
+    """{x : C x = d}.
+
+    The first projection or residual factors the Gram matrix
+    G = C C^T as G+ = B B^T (eigenvectors over square roots of the
+    eigenvalues above the RCOND cutoff, the rank rule of lstsq_min_norm)
+    and keeps B, so each later call costs a few mat-vecs: with
+    r = C x - d, P(x) = x - C^T B B^T r and the distance is ||B^T r||.
+    Applying B twice keeps the projection within the roundoff of a fresh
+    least-squares solve; an explicit G+ loses up to two more digits on
+    nearly square C.  C and d are not copied and must not be mutated
+    after the first call.
+
+    Consistency is checked once, with the factor: C x = d is solvable
+    exactly when d lies in range(G), and every call raises
+    InfeasibleSetError when it does not.
+    """
 
     def __init__(self, C, d):
         self.C = as_matrix(C)
         self.d = as_point(d)
         if self.C.shape[0] != self.d.shape[0]:
-            raise ValueError("row count of C and length of d differ")
+            raise ValueError(f"dimension mismatch: {self.C.shape[0]} rows vs rhs of dim "
+                             f"{self.d.shape[0]}")
         self.dim = self.C.shape[1]
+        self._half_pinv = None
+
+    def _factor(self) -> np.ndarray:
+        if self._half_pinv is None:
+            w, Q = np.linalg.eigh(self.C @ self.C.T)
+            keep = w > RCOND * w.max(initial=0.0)
+            Q = Q[:, keep]
+            if norm(self.d - Q @ (Q.T @ self.d)) > TOL_FEAS * max(1.0, norm(self.d)):
+                raise InfeasibleSetError("row system C x = d is inconsistent")
+            self._half_pinv = Q / np.sqrt(w[keep])
+        return self._half_pinv
+
+    def _scaled_gap(self, x):
+        """(x, B^T (C x - d)) with x checked against the dimension."""
+        B = self._factor()
+        x = as_point(x)
+        if x.shape[0] != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} columns vs point of dim "
+                             f"{x.shape[0]}")
+        return x, B.T @ (self.C @ x - self.d)
 
     def project(self, x):
-        return project_row_constraint(x, self.C, self.d)
+        x, y = self._scaled_gap(x)
+        return x - self.C.T @ (self._half_pinv @ y)
+
+    def residual(self, x) -> float:
+        return norm(self._scaled_gap(x)[1])
 
     def rows(self):
         return self.C, self.d

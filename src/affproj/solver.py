@@ -240,6 +240,7 @@ def run_map(sets: Sequence[AffineSet], x0, schedule: Optional[CyclicSchedule] = 
         l = schedule.index_at(i)
         try:
             xn = sets[l].project(x)
+            residuals = _set_residuals(sets, xn)
         except InfeasibleSetError as e:
             warnings.append(f"iteration {i + 1}: {e}")
             reason = "infeasible"
@@ -247,7 +248,6 @@ def run_map(sets: Sequence[AffineSet], x0, schedule: Optional[CyclicSchedule] = 
         i += 1
         step = norm(xn - x)
         x = xn
-        residuals = _set_residuals(sets, x)
         trace.append(IterationRecord(index=i, phase="set-projection", set_index=l,
                                      step_norm=step, per_set_residuals=residuals,
                                      distance_to_oracle=_dist(x, oracle_point),
@@ -292,6 +292,7 @@ def run_alg1(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
         l = schedule.index_at(i)
         try:
             xt = sets[l].project(x)
+            xt_residuals = _set_residuals(sets, xt)
         except InfeasibleSetError as e:
             warnings.append(f"iteration {i + 1}: {e}")
             reason = "infeasible"
@@ -307,8 +308,7 @@ def run_alg1(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
         generated.append((l, h))
         step1 = norm(a)
         trace.append(IterationRecord(index=i, phase="set-projection", set_index=l,
-                                     step_norm=step1,
-                                     per_set_residuals=_set_residuals(sets, xt),
+                                     step_norm=step1, per_set_residuals=xt_residuals,
                                      distance_to_oracle=_dist(xt, oracle_point),
                                      point=xt.copy()))
         xn, selected, used, lam = _correct(xt, buffer, cur, warnings)
@@ -349,7 +349,6 @@ def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
     """
     if len(sets) < 2:
         raise ValueError("need at least two sets (an easy set plus one more)")
-    x = lift_start(x0, sets[0])
     start = as_point(x0).copy()
     schedule = schedule or CyclicSchedule(list(range(1, len(sets))))
     stop = stop or StoppingRule()
@@ -358,25 +357,34 @@ def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
     warnings: List[str] = []
     generated: List[Tuple[int, Hyperplane]] = []
     selected_history: List[List[int]] = []
-    trace.append(IterationRecord(index=0, phase="m1-projection", set_index=0,
-                                 step_norm=norm(x - start),
-                                 per_set_residuals=_set_residuals(sets, x),
-                                 distance_to_oracle=_dist(x, oracle_point),
-                                 point=x.copy()))
     i = 0
     substeps = 1
     converged = False
     reason = "max-iter"
-    if max(trace[0].per_set_residuals) <= stop.stop_tol:
-        converged = True
-        reason = "residual-met"
-    while not converged and substeps < stop.max_iter:
+    try:
+        x = lift_start(start, sets[0])
+        residuals = _set_residuals(sets, x)
+    except InfeasibleSetError as e:
+        x = start.copy()
+        warnings.append(f"starting lift: {e}")
+        reason = "infeasible"
+    else:
+        trace.append(IterationRecord(index=0, phase="m1-projection", set_index=0,
+                                     step_norm=norm(x - start), per_set_residuals=residuals,
+                                     distance_to_oracle=_dist(x, oracle_point),
+                                     point=x.copy()))
+        if max(residuals) <= stop.stop_tol:
+            converged = True
+            reason = "residual-met"
+    while reason == "max-iter" and substeps < stop.max_iter:
         l = schedule.index_at(i)
         if l == 0:
             raise ValueError("schedule for the accelerated-2 scheme must avoid set 0")
         try:
             xp = sets[l].project(x)
             xpp = sets[0].project(xp)
+            xp_residuals = _set_residuals(sets, xp)
+            xpp_residuals = _set_residuals(sets, xpp)
         except InfeasibleSetError as e:
             warnings.append(f"iteration {i + 1}: {e}")
             reason = "infeasible"
@@ -384,13 +392,11 @@ def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
         substeps += 2
         i += 1
         trace.append(IterationRecord(index=i, phase="set-projection", set_index=l,
-                                     step_norm=norm(xp - x),
-                                     per_set_residuals=_set_residuals(sets, xp),
+                                     step_norm=norm(xp - x), per_set_residuals=xp_residuals,
                                      distance_to_oracle=_dist(xp, oracle_point),
                                      point=xp.copy()))
         trace.append(IterationRecord(index=i, phase="m1-projection", set_index=0,
-                                     step_norm=norm(xpp - xp),
-                                     per_set_residuals=_set_residuals(sets, xpp),
+                                     step_norm=norm(xpp - xp), per_set_residuals=xpp_residuals,
                                      distance_to_oracle=_dist(xpp, oracle_point),
                                      point=xpp.copy()))
         a = x - xpp

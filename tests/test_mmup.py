@@ -102,6 +102,57 @@ def test_project_v_matches_row_constraint_projection(seed, n):
         np.testing.assert_allclose(closed_form, via_rows, atol=1e-9)
 
 
+def random_chain(seed, n=6):
+    """Spring chain with random masses, springs and dampers, its rigid mode
+    moved to -0.02 and one random conjugate target pair."""
+    rng = np.random.default_rng(seed)
+    springs = rng.uniform(0.5, 2.0, n - 1)
+    K = np.zeros((n, n))
+    for j, k in enumerate(springs):
+        K[j:j + 2, j:j + 2] += k * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    M = np.diag(rng.uniform(1.0, 4.0, n))
+    D = 0.1 * K + np.diag(rng.uniform(0.1, 0.5, n))
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    targets = TargetSpectrum([
+        TargetPair(-0.02, np.ones(n), conjugate_pair=False),
+        TargetPair(complex(-rng.uniform(0.1, 0.3), rng.uniform(0.5, 1.5)), y,
+                   conjugate_pair=True),
+    ])
+    return build_problem(PencilData(M, D, K), targets)
+
+
+PENCIL_PROBLEMS = [
+    pytest.param(lambda: experiment1()[0], id="experiment1"),
+    pytest.param(lambda: experiment2()[0], id="experiment2"),
+] + [pytest.param(lambda s=s: random_chain(s), id=f"chain{s}") for s in range(3)]
+
+
+@pytest.mark.parametrize("make", PENCIL_PROBLEMS)
+def test_closed_form_residuals_are_projection_distances(make):
+    prob = make()
+    rng = np.random.default_rng(21)
+    points = [prob.flatten(prob.x0), rng.standard_normal(prob.dim),
+              prob.set_v.project(rng.standard_normal(prob.dim))]
+    for x in points:
+        for s in prob.sets:
+            dist = norm(x - s.project(x))
+            assert abs(s.residual(x) - dist) <= 1e-10 * dist + 1e-14
+
+
+@pytest.mark.parametrize("make", PENCIL_PROBLEMS)
+def test_ihat_free_products_match_dense_formulas(make):
+    # R = A + Ihat^T X W and X + Ihat Sigma W^T with Ihat = [I; I] built densely
+    prob = make()
+    n, W = prob.n, prob.w
+    Ihat = np.vstack([np.eye(n), np.eye(n)])
+    X = np.random.default_rng(22).standard_normal((2 * n, 2 * n))
+    R = prob.a + Ihat.T @ X @ W
+    assert pencil_residual(prob, X) == pytest.approx(norm(R), rel=1e-12)
+    Sigma = -0.5 * np.linalg.solve(W.T @ W, R.T).T
+    np.testing.assert_allclose(project_v(X, prob), X + Ihat @ Sigma @ W.T,
+                               rtol=0, atol=1e-12 * max(1.0, norm(X)))
+
+
 # -- constraint column data -------------------------------------------------
 
 def test_build_abc_conjugate_pair_splits_real_imag():

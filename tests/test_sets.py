@@ -194,3 +194,85 @@ def test_chained_projection_equals_joint_projection_inside_subspace():
         chained = project_hyperplane_intersection(mhat.project(x), hyps)
         joint = direct_projection(x, stack(row_sets))
         assert norm(chained - joint) < 1e-9 * max(1.0, norm(x))
+
+
+# -- the factored row set ---------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def row_family(seed, kind):
+    """(C, d, x) for a consistent row set through a random point.
+
+    kind "random" is Gaussian, "dependent" adds a duplicated row and two
+    combinations of the others (rank-deficient), "scaled" multiplies the
+    whole family by 1e-4 or 1e4, which leaves the set unchanged.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 30))
+    C = rng.standard_normal((int(rng.integers(1, dim + 1)), dim))
+    if kind == "dependent":
+        C = np.vstack([C, C[:1], rng.standard_normal((2, C.shape[0])) @ C])
+    elif kind == "scaled":
+        C = C * 10.0 ** rng.choice([-4.0, 4.0])
+    return C, C @ rng.standard_normal(dim), 3.0 * rng.standard_normal(dim)
+
+
+def gram_roundoff(C):
+    """Relative roundoff of anything solved through C C^T: eps times the
+    squared condition number of C on its row space (the singular values
+    that survive the RCOND cutoff on the Gram matrix)."""
+    sv = np.linalg.svd(C, compute_uv=False)
+    kept = sv[sv > 1e-6 * sv[0]]
+    return 10.0 * EPS * (kept[0] / kept[-1]) ** 2
+
+
+FAMILY_KINDS = st.sampled_from(["random", "dependent", "scaled"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), FAMILY_KINDS)
+def test_factored_projection_matches_oracle(seed, kind):
+    C, d, x = row_family(seed, kind)
+    s = RowConstraintSet(C, d)
+    p = s.project(x)
+    ref = direct_projection(x, stack([s]))
+    assert norm(p - ref) <= (1e-12 + gram_roundoff(C)) * max(1.0, norm(x))
+    np.testing.assert_array_equal(project_row_constraint(x, C, d), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), FAMILY_KINDS)
+def test_factored_residual_is_distance_to_projection(seed, kind):
+    C, d, x = row_family(seed, kind)
+    s = RowConstraintSet(C, d)
+    dist = norm(x - s.project(x))
+    assert abs(s.residual(x) - dist) <= max(1e-10, gram_roundoff(C)) * dist
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_inconsistent_row_set_raises_from_project_and_residual(seed, residual_first):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 20))
+    C = rng.standard_normal((int(rng.integers(1, dim)), dim))
+    d = C @ rng.standard_normal(dim)
+    mix = rng.standard_normal(C.shape[0])
+    # a combination of the rows with a right-hand side off by 1
+    s = RowConstraintSet(np.vstack([C, mix @ C]), np.append(d, mix @ d + 1.0))
+    x = rng.standard_normal(dim)
+    calls = [s.residual, s.project]
+    if not residual_first:
+        calls.reverse()
+    for call in calls:
+        with pytest.raises(InfeasibleSetError):
+            call(x)
+
+
+def test_row_constraint_dimension_mismatch_raises():
+    with pytest.raises(ValueError):
+        project_row_constraint([1.0, 2.0, 3.0], [[1.0, 0.0]], [0.0])
+    with pytest.raises(ValueError):
+        project_row_constraint([1.0, 2.0], [[1.0, 0.0]], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        RowConstraintSet([[1.0, 0.0]], [0.0]).residual([1.0, 2.0, 3.0])

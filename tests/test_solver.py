@@ -71,6 +71,24 @@ def test_map_reports_infeasible_set():
     assert r.warnings
 
 
+def family_with_inconsistent_set(index, k=3):
+    """random_family(0) with an inconsistent set inserted at `index`."""
+    sets, x0, _ = random_family(0, dim=6, k=k, codim=1)
+    e = np.eye(6)[-1]
+    sets.insert(index, RowConstraintSet([e, e], [0.0, 1.0]))
+    return sets, x0
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_map_reports_infeasible_set_met_by_residual_check(index):
+    # an inconsistent set after the first is first met by a residual check
+    sets, x0 = family_with_inconsistent_set(index)
+    r = run_map(sets, x0)
+    assert not r.converged
+    assert r.stop_reason == "infeasible"
+    assert r.warnings
+
+
 def test_map_trace_fields():
     sets = two_lines()
     r = run_map(sets, [2.0, 1.0], stop=StoppingRule(1e-10, 50))
@@ -192,6 +210,26 @@ def test_degenerate_composite_step_is_skipped_with_note():
     assert not r.converged
     assert any("degenerate composite step" in w for w in r.warnings)
     assert all(h.is_whole_space() for _, h in r.generated)
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_alg1_reports_infeasible_set(index):
+    sets, x0 = family_with_inconsistent_set(index)
+    r = run_alg1(sets, x0, policy=LastQ(3))
+    assert not r.converged
+    assert r.stop_reason == "infeasible"
+    assert r.warnings
+
+
+@pytest.mark.parametrize("index", [0, 2, 3])
+def test_alg2_reports_infeasible_set(index):
+    # index 0 is the easy set, where the starting lift meets it; at 2 and 3
+    # it is a non-easy set that the scheme projects onto later
+    sets, x0 = family_with_inconsistent_set(index)
+    r = run_alg2(sets, x0, policy=LastQ(3))
+    assert not r.converged
+    assert r.stop_reason == "infeasible"
+    assert r.warnings
 
 
 # -- schedules, buffer, fallback ---------------------------------------------
