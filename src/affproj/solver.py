@@ -44,17 +44,12 @@ class All:
     """Use every recorded hyperplane (the q = infinity window)."""
 
 
-@dataclass(frozen=True)
-class ConditionB:
-    """Window certified to keep x0 - x_i inside span of selected normals.
+# The window certified to keep x0 - x_i inside the span of the selected
+# normals.  Keeping every normal ever used is the simplest certified
+# choice, so it is the All policy under a second name.
+ConditionB = All
 
-    Keeping every normal ever used is the simplest certified choice, so
-    selection coincides with All; the name is kept separate because
-    diagnostics assert the span property only under this policy.
-    """
-
-
-WindowPolicy = Union[LastQ, All, ConditionB]
+WindowPolicy = Union[LastQ, All]
 
 
 @dataclass
@@ -118,8 +113,13 @@ class CyclicSchedule:
 
 @dataclass
 class StoppingRule:
-    """Stop when every set residual is <= stop_tol, or after max_iter
-    projection sub-steps."""
+    """Stop when every set residual is <= stop_tol, or at the first
+    iteration boundary with at least max_iter projection sub-steps.
+
+    An iteration is one sub-step under run_map, two under run_alg1 and
+    three under run_alg2, whose starting lift counts as one more; so
+    run_alg1 may make max_iter + 1 sub-steps and run_alg2 max_iter + 2.
+    """
 
     stop_tol: float = 1e-10
     max_iter: int = 10000
@@ -159,12 +159,6 @@ class SolveResult:
 
 def _set_residuals(sets: Sequence[AffineSet], x: np.ndarray) -> List[float]:
     return [s.residual(x) for s in sets]
-
-
-def _dist(x: np.ndarray, target: Optional[np.ndarray]) -> Optional[float]:
-    if target is None:
-        return None
-    return norm(x - target)
 
 
 def lift_start(x0, m1: AffineSet) -> np.ndarray:
@@ -222,44 +216,132 @@ def _component_sum(displacement: np.ndarray, used, lam) -> float:
     return total
 
 
-def run_map(sets: Sequence[AffineSet], x0, schedule: Optional[CyclicSchedule] = None,
-            stop: Optional[StoppingRule] = None,
-            oracle_point: Optional[np.ndarray] = None) -> SolveResult:
-    """Cyclic exact projections onto each set in turn."""
-    x = as_point(x0).copy()
-    start = x.copy()
-    schedule = schedule or CyclicSchedule(list(range(len(sets))))
+def _record(index, phase, set_index, point, step, residuals, oracle_point):
+    dist = None if oracle_point is None else norm(point - oracle_point)
+    return IterationRecord(index=index, phase=phase, set_index=set_index, step_norm=step,
+                           per_set_residuals=residuals, distance_to_oracle=dist,
+                           point=point.copy())
+
+
+def _drive(sets, x0, schedule, stop, oracle_point, path, support=None, policy=None,
+           lift=None) -> SolveResult:
+    """The iteration loop of the three drivers.
+
+    path(sets, l, x) gives one iteration's projections from x as
+    (phase, set index, point) triples; without support, their end is the
+    next iterate.  support(x, path, i, warnings) gives the recorded
+    hyperplane as a normal (None: the whole space) and a point on it,
+    and the window correction of the path's end is the next iterate; a
+    one-projection path's normal is taken as its displacement for the
+    StepDecomposition.  lift is the set the start is first projected
+    onto; the default schedule then skips it (set 0).
+
+    The old iterate is freed before the next one is copied into the
+    trace, and the point on the hyperplane lives until the next one is
+    made; freeing that point at once raised alg2's max RSS at dim 40 000
+    from 110 to 120 MB (heap fragmentation).
+    """
+    start = as_point(x0).copy()
+    schedule = schedule or CyclicSchedule(list(range(int(lift is not None), len(sets))))
     stop = stop or StoppingRule()
-    trace: List[IterationRecord] = []
-    warnings: List[str] = []
-    decomps: List[StepDecomposition] = []
-    i = 0
-    converged = False
+    buffer = HyperplaneBuffer(policy)
+    trace, warnings, decomps, selected_history = [], [], [], []
+    i = substeps = 0
     reason = "max-iter"
-    while i < stop.max_iter:
+    x = start.copy()
+    if lift is not None:
+        substeps = 1
+        try:
+            lifted = lift_start(start, lift)
+            residuals = _set_residuals(sets, lifted)
+        except InfeasibleSetError as e:
+            warnings.append(f"starting lift: {e}")
+            reason = "infeasible"
+        else:
+            x = lifted
+            trace.append(_record(0, "m1-projection", 0, x, norm(x - start), residuals,
+                                 oracle_point))
+            if max(residuals) <= stop.stop_tol:
+                reason = "residual-met"
+    while reason == "max-iter" and substeps < stop.max_iter:
         l = schedule.index_at(i)
         try:
-            xn = sets[l].project(x)
-            residuals = _set_residuals(sets, xn)
+            steps = path(sets, l, x)
+            path_residuals = [_set_residuals(sets, p) for _, _, p in steps]
         except InfeasibleSetError as e:
             warnings.append(f"iteration {i + 1}: {e}")
             reason = "infeasible"
             break
+        substeps += len(steps)
         i += 1
-        step = norm(xn - x)
-        x = xn
-        trace.append(IterationRecord(index=i, phase="set-projection", set_index=l,
-                                     step_norm=step, per_set_residuals=residuals,
-                                     distance_to_oracle=_dist(x, oracle_point),
-                                     point=x.copy()))
-        decomps.append(StepDecomposition(components=step * step, steps=step * step))
+        end = x
+        if support is None:
+            x, residuals = steps[-1][2], path_residuals[-1]
+        for (phase, k, p), res in zip(steps, path_residuals):
+            step, end = norm(p - end), p
+            trace.append(_record(i, phase, k, p, step, res, oracle_point))
+        if support is None:
+            decomps.append(StepDecomposition(components=step * step, steps=step * step))
+        else:
+            normal, through = support(x, steps, i, warnings)
+            h = (Hyperplane(np.zeros_like(x), 0.0) if normal is None
+                 else Hyperplane(normal, inner(normal, through)))
+            cur = buffer.append(h, l)
+            xn, selected, used, lam = _correct(end, buffer, cur, warnings)
+            substeps += 1
+            selected_history.append([e.index for e in selected])
+            moved = norm(xn - end)
+            x = xn
+            residuals = _set_residuals(sets, x)
+            trace.append(_record(i, "hyperplane-projection", None, x, moved, residuals,
+                                 oracle_point))
+            if len(steps) == 1:
+                decomps.append(StepDecomposition(
+                    components=_component_sum(h.normal, used, lam),
+                    steps=step * step + moved * moved))
         if max(residuals) <= stop.stop_tol:
-            converged = True
             reason = "residual-met"
-            break
-    return SolveResult(solution=x, iterations=i, trace=trace, converged=converged,
-                       stop_reason=reason, x0=start, warnings=warnings,
-                       decompositions=decomps)
+    return SolveResult(solution=x, iterations=i, trace=trace,
+                       converged=reason == "residual-met", stop_reason=reason, x0=start,
+                       warnings=warnings,
+                       generated=[(e.set_index, e.h) for e in buffer.entries],
+                       selected_history=selected_history, decompositions=decomps)
+
+
+def _set_projection(sets, l, x):
+    return [("set-projection", l, sets[l].project(x))]
+
+
+def _composite_projection(sets, l, x):
+    if l == 0:
+        raise ValueError("schedule for the accelerated-2 scheme must avoid set 0")
+    xp = sets[l].project(x)
+    return [("set-projection", l, xp), ("m1-projection", 0, sets[0].project(xp))]
+
+
+def _displacement_hyperplane(x, path, i, warnings):
+    a = x - path[0][2]
+    return (a if norm(a) > 0.0 else None), path[0][2]
+
+
+def _composite_hyperplane(x, path, i, warnings):
+    xp, xpp = path[0][2], path[1][2]
+    a = x - xpp
+    nn = norm(a)
+    if nn <= TOL_LIN:
+        # numerically a fixed point of the composite projection: no usable hyperplane
+        warnings.append(f"iteration {i}: degenerate composite step "
+                        f"(displacement {nn:.3e}), recorded whole-space hyperplane")
+        return None, None
+    t = inner(x - xp, x - xp) / inner(a, a)
+    return a, x + t * (xpp - x)
+
+
+def run_map(sets: Sequence[AffineSet], x0, schedule: Optional[CyclicSchedule] = None,
+            stop: Optional[StoppingRule] = None,
+            oracle_point: Optional[np.ndarray] = None) -> SolveResult:
+    """Cyclic exact projections onto each set in turn."""
+    return _drive(sets, x0, schedule, stop, oracle_point, _set_projection)
 
 
 def run_alg1(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
@@ -274,64 +356,8 @@ def run_alg1(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
     recorded hyperplane contains the full intersection, so the window
     intersection is feasible in exact arithmetic.
     """
-    x = as_point(x0).copy()
-    start = x.copy()
-    schedule = schedule or CyclicSchedule(list(range(len(sets))))
-    stop = stop or StoppingRule()
-    buffer = HyperplaneBuffer(policy)
-    trace: List[IterationRecord] = []
-    warnings: List[str] = []
-    decomps: List[StepDecomposition] = []
-    generated: List[Tuple[int, Hyperplane]] = []
-    selected_history: List[List[int]] = []
-    i = 0
-    substeps = 0
-    converged = False
-    reason = "max-iter"
-    while substeps < stop.max_iter:
-        l = schedule.index_at(i)
-        try:
-            xt = sets[l].project(x)
-            xt_residuals = _set_residuals(sets, xt)
-        except InfeasibleSetError as e:
-            warnings.append(f"iteration {i + 1}: {e}")
-            reason = "infeasible"
-            break
-        substeps += 1
-        i += 1
-        a = x - xt
-        if norm(a) <= 0.0:
-            h = Hyperplane(np.zeros_like(x), 0.0)
-        else:
-            h = Hyperplane(a, inner(a, xt))
-        cur = buffer.append(h, l)
-        generated.append((l, h))
-        step1 = norm(a)
-        trace.append(IterationRecord(index=i, phase="set-projection", set_index=l,
-                                     step_norm=step1, per_set_residuals=xt_residuals,
-                                     distance_to_oracle=_dist(xt, oracle_point),
-                                     point=xt.copy()))
-        xn, selected, used, lam = _correct(xt, buffer, cur, warnings)
-        substeps += 1
-        selected_history.append([e.index for e in selected])
-        step2 = norm(xn - xt)
-        x = xn
-        residuals = _set_residuals(sets, x)
-        trace.append(IterationRecord(index=i, phase="hyperplane-projection", set_index=None,
-                                     step_norm=step2, per_set_residuals=residuals,
-                                     distance_to_oracle=_dist(x, oracle_point),
-                                     point=x.copy()))
-        decomps.append(StepDecomposition(
-            components=_component_sum(a, used, lam),
-            steps=step1 * step1 + step2 * step2))
-        if max(residuals) <= stop.stop_tol:
-            converged = True
-            reason = "residual-met"
-            break
-    return SolveResult(solution=x, iterations=i, trace=trace, converged=converged,
-                       stop_reason=reason, x0=start, warnings=warnings,
-                       generated=generated, selected_history=selected_history,
-                       decompositions=decomps)
+    return _drive(sets, x0, schedule, stop, oracle_point, _set_projection,
+                  _displacement_hyperplane, policy)
 
 
 def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
@@ -349,82 +375,5 @@ def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
     """
     if len(sets) < 2:
         raise ValueError("need at least two sets (an easy set plus one more)")
-    start = as_point(x0).copy()
-    schedule = schedule or CyclicSchedule(list(range(1, len(sets))))
-    stop = stop or StoppingRule()
-    buffer = HyperplaneBuffer(policy)
-    trace: List[IterationRecord] = []
-    warnings: List[str] = []
-    generated: List[Tuple[int, Hyperplane]] = []
-    selected_history: List[List[int]] = []
-    i = 0
-    substeps = 1
-    converged = False
-    reason = "max-iter"
-    try:
-        x = lift_start(start, sets[0])
-        residuals = _set_residuals(sets, x)
-    except InfeasibleSetError as e:
-        x = start.copy()
-        warnings.append(f"starting lift: {e}")
-        reason = "infeasible"
-    else:
-        trace.append(IterationRecord(index=0, phase="m1-projection", set_index=0,
-                                     step_norm=norm(x - start), per_set_residuals=residuals,
-                                     distance_to_oracle=_dist(x, oracle_point),
-                                     point=x.copy()))
-        if max(residuals) <= stop.stop_tol:
-            converged = True
-            reason = "residual-met"
-    while reason == "max-iter" and substeps < stop.max_iter:
-        l = schedule.index_at(i)
-        if l == 0:
-            raise ValueError("schedule for the accelerated-2 scheme must avoid set 0")
-        try:
-            xp = sets[l].project(x)
-            xpp = sets[0].project(xp)
-            xp_residuals = _set_residuals(sets, xp)
-            xpp_residuals = _set_residuals(sets, xpp)
-        except InfeasibleSetError as e:
-            warnings.append(f"iteration {i + 1}: {e}")
-            reason = "infeasible"
-            break
-        substeps += 2
-        i += 1
-        trace.append(IterationRecord(index=i, phase="set-projection", set_index=l,
-                                     step_norm=norm(xp - x), per_set_residuals=xp_residuals,
-                                     distance_to_oracle=_dist(xp, oracle_point),
-                                     point=xp.copy()))
-        trace.append(IterationRecord(index=i, phase="m1-projection", set_index=0,
-                                     step_norm=norm(xpp - xp), per_set_residuals=xpp_residuals,
-                                     distance_to_oracle=_dist(xpp, oracle_point),
-                                     point=xpp.copy()))
-        a = x - xpp
-        nn = norm(a)
-        if nn <= TOL_LIN:
-            # numerically a fixed point of the composite projection; no
-            # usable hyperplane, treat it as the whole space
-            h = Hyperplane(np.zeros_like(x), 0.0)
-            warnings.append(f"iteration {i}: degenerate composite step "
-                            f"(displacement {nn:.3e}), recorded whole-space hyperplane")
-        else:
-            t = inner(x - xp, x - xp) / inner(a, a)
-            xplus = x + t * (xpp - x)
-            h = Hyperplane(a, inner(a, xplus))
-        cur = buffer.append(h, l)
-        generated.append((l, h))
-        xn, selected, used, lam = _correct(xpp, buffer, cur, warnings)
-        substeps += 1
-        selected_history.append([e.index for e in selected])
-        x = xn
-        residuals = _set_residuals(sets, x)
-        trace.append(IterationRecord(index=i, phase="hyperplane-projection", set_index=None,
-                                     step_norm=norm(xn - xpp), per_set_residuals=residuals,
-                                     distance_to_oracle=_dist(x, oracle_point),
-                                     point=x.copy()))
-        if max(residuals) <= stop.stop_tol:
-            converged = True
-            reason = "residual-met"
-    return SolveResult(solution=x, iterations=i, trace=trace, converged=converged,
-                       stop_reason=reason, x0=start, warnings=warnings,
-                       generated=generated, selected_history=selected_history)
+    return _drive(sets, x0, schedule, stop, oracle_point, _composite_projection,
+                  _composite_hyperplane, policy, lift=sets[0])
