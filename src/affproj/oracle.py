@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import TOL_FEAS, as_point, lstsq_min_norm, norm
+from .linalg import TOL_FEAS, as_point, lstsq_min_norm, norm, unit_row_gram
 from .sets import AffineSet, InfeasibleSetError
 
 MAX_ROWS = 5000
@@ -66,17 +66,19 @@ def stack(sets: Sequence[AffineSet]) -> StackedConstraints:
 def direct_projection(x0, sc: StackedConstraints) -> np.ndarray:
     """Projection of x0 onto the stacked solution set.
 
-    Solves (C C^T) lam = C x0 - d by min-norm least squares and returns
-    x0 - C^T lam; the correction lies in the row space of C, which is
-    the orthogonal complement of the solution set's direction space.
+    With the rows scaled to unit length, S C x = S d for S = diag(s),
+    solves (S C C^T S) lam = S (C x0 - d) by min-norm least squares and
+    returns x0 - C^T S lam; the correction lies in the row space of C,
+    which is the orthogonal complement of the solution set's direction
+    space.  Consistency is checked on the scaled system.
     """
     x0 = as_point(x0)
     C, d = sc.C, sc.d
     if C.shape[1] != x0.shape[0]:
         raise ValueError(f"dimension mismatch: {C.shape[1]} columns vs point of dim {x0.shape[0]}")
-    r = C @ x0 - d
-    lam = lstsq_min_norm(C @ C.T, r)
-    p = x0 - C.T @ lam
-    if norm(C @ p - d) > TOL_FEAS * max(1.0, norm(d)):
+    G, s = unit_row_gram(C)
+    lam = lstsq_min_norm(G, s * (C @ x0 - d))
+    p = x0 - C.T @ (s * lam)
+    if norm(s * (C @ p - d)) > TOL_FEAS * max(1.0, norm(s * d)):
         raise InfeasibleSetError("stacked constraint system is inconsistent")
     return p

@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import RCOND, TOL_FEAS, as_matrix, as_point, gram_solve, norm
+from .linalg import (RCOND, TOL_FEAS, as_matrix, as_point, gram_solve, norm,
+                     unit_row_gram)
 # This module does not call lstsq_min_norm, but perfbench/spans.py wraps
 # affproj.sets.lstsq_min_norm for its per-layer split, so the name stays here.
 from .linalg import lstsq_min_norm  # noqa: F401
@@ -150,19 +151,21 @@ class HyperplaneSet(AffineSet):
 class RowConstraintSet(AffineSet):
     """{x : C x = d}.
 
-    The first projection or residual factors the Gram matrix
-    G = C C^T as G+ = B B^T (eigenvectors over square roots of the
-    eigenvalues above the RCOND cutoff, the rank rule of lstsq_min_norm)
-    and keeps B, so each later call costs a few mat-vecs: with
-    r = C x - d, P(x) = x - C^T B B^T r and the distance is ||B^T r||.
+    The first projection or residual scales the rows of C to unit
+    length, C' = S C with S = diag(s) (see unit_row_gram), factors
+    G' = C' C'^T as Q diag(w) Q^T over the eigenvalues above the RCOND
+    cutoff (the rank rule of lstsq_min_norm), and keeps
+    B = S Q diag(w)^(-1/2), so that C^T B B^T = C'^T G'+ S.  Each later
+    call costs a few mat-vecs: with r = C x - d, P(x) = x - C^T B B^T r
+    and the distance is ||B^T r||.
     Applying B twice keeps the projection within the roundoff of a fresh
     least-squares solve; an explicit G+ loses up to two more digits on
     nearly square C.  C and d are not copied and must not be mutated
     after the first call.
 
-    Consistency is checked once, with the factor: C x = d is solvable
-    exactly when d lies in range(G), and every call raises
-    InfeasibleSetError when it does not.
+    Consistency is checked once, with the factor, on the scaled system:
+    C x = d is solvable exactly when S d lies in range(G'), and every
+    call raises InfeasibleSetError when it does not.
     """
 
     def __init__(self, C, d):
@@ -176,12 +179,14 @@ class RowConstraintSet(AffineSet):
 
     def _factor(self) -> np.ndarray:
         if self._half_pinv is None:
-            w, Q = np.linalg.eigh(self.C @ self.C.T)
+            G, s = unit_row_gram(self.C)
+            w, Q = np.linalg.eigh(G)
             keep = w > RCOND * w.max(initial=0.0)
             Q = Q[:, keep]
-            if norm(self.d - Q @ (Q.T @ self.d)) > TOL_FEAS * max(1.0, norm(self.d)):
+            d = s * self.d
+            if norm(d - Q @ (Q.T @ d)) > TOL_FEAS * max(1.0, norm(d)):
                 raise InfeasibleSetError("row system C x = d is inconsistent")
-            self._half_pinv = Q / np.sqrt(w[keep])
+            self._half_pinv = s[:, None] * Q / np.sqrt(w[keep])
         return self._half_pinv
 
     def _scaled_gap(self, x):

@@ -269,6 +269,30 @@ def test_inconsistent_row_set_raises_from_project_and_residual(seed, residual_fi
             call(x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_rows_of_very_different_lengths_are_consistent(seed):
+    """Each row scaled by 10^U(-4, 4): the set is unchanged, so the set and
+    the oracle project as with unit rows, and a shifted copy of a short row
+    still makes the system inconsistent."""
+    rng = np.random.default_rng(seed)
+    C, d, x = row_family(seed, "dependent")
+    lengths = 10.0 ** rng.uniform(-4.0, 4.0, C.shape[0])
+    unit = C / np.linalg.norm(C, axis=1)[:, None]
+    ref = x - np.linalg.pinv(unit) @ (unit @ x - d / np.linalg.norm(C, axis=1))
+    s = RowConstraintSet(lengths[:, None] * C, lengths * d)
+    tol = (1e-12 + gram_roundoff(unit)) * max(1.0, norm(x))
+    assert norm(s.project(x) - ref) <= tol
+    assert norm(direct_projection(x, stack([s])) - ref) <= tol
+    short = int(np.argmin(lengths))
+    shifted = RowConstraintSet(np.vstack([s.C, s.C[short]]),
+                               np.append(s.d, s.d[short] + 1e-3 * lengths[short]))
+    with pytest.raises(InfeasibleSetError):
+        shifted.project(x)
+    with pytest.raises(InfeasibleSetError):
+        direct_projection(x, stack([shifted]))
+
+
 def test_row_constraint_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         project_row_constraint([1.0, 2.0, 3.0], [[1.0, 0.0]], [0.0])
