@@ -1,3 +1,5 @@
+from math import ceil
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,22 @@ def test_map_respects_max_iter():
     assert not r.converged
     assert r.stop_reason == "max-iter"
     assert r.iterations == 5
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sub_step_budget_ends_at_an_iteration_boundary(m):
+    """A run stops at the first iteration boundary with at least max_iter
+    sub-steps: map makes one per iteration, alg1 two and alg2 three after
+    its starting lift."""
+    sets, x0, _ = random_family(11)
+    stop = StoppingRule(0.0, m)
+    r = run_map(sets, x0, stop=stop)
+    assert (r.iterations, len(r.trace)) == (m, m)
+    r = run_alg1(sets, x0, stop=stop)
+    assert (r.iterations, len(r.trace)) == (ceil(m / 2), 2 * ceil(m / 2))
+    r = run_alg2(sets, x0, stop=stop)
+    its = ceil((m - 1) / 3)
+    assert (r.iterations, len(r.trace)) == (its, 1 + 3 * its)
 
 
 def test_map_reports_infeasible_set():
@@ -138,6 +156,10 @@ def test_condition_b_policy_selects_like_all():
     r_cb = run_alg1(sets, x0, policy=ConditionB(), stop=StoppingRule(1e-10, 40))
     np.testing.assert_array_equal(r_all.solution, r_cb.solution)
     assert r_all.selected_history == r_cb.selected_history
+
+
+def test_condition_b_is_all():
+    assert ConditionB is All
 
 
 # -- easy-set acceleration ---------------------------------------------------
