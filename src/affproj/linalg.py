@@ -88,18 +88,26 @@ def unit_row_gram(C):
 def gram_solve(vectors, rhs) -> np.ndarray:
     """Coefficients lambda with G lambda ~= rhs, G_jk = <a_j, a_k>.
 
+    vectors is a 2-d array whose rows are the a_j, used as it is, or a
+    sequence of equal-length vectors, which is stacked once.  The cost is
+    the k x k Gram product, O(k^2 n) for k vectors of length n, plus an
+    O(k^3) solve.
+
     Solved by minimum-norm least squares, so rank-deficient (redundant)
     families are fine: the combination sum_j lambda_j a_j is the same
     for every least-squares solution because null(G) = null(A^T) when
     G = A A^T.
     """
-    vectors = list(vectors)
     rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    if len(vectors) != rhs.shape[0]:
-        raise ValueError(f"{len(vectors)} vectors but rhs of length {rhs.shape[0]}")
-    if not vectors:
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        A = np.asarray(vectors, dtype=float)
+    else:
+        rows = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
+        # vstack raises on ragged input, which covers the shared-dim precondition
+        A = np.vstack(rows) if rows else np.zeros((0, 0))
+    if A.shape[0] != rhs.shape[0]:
+        raise ValueError(f"{A.shape[0]} vectors but rhs of length {rhs.shape[0]}")
+    if A.shape[0] == 0:
         return np.zeros(0)
-    # vstack raises on ragged input, which covers the shared-dim precondition
-    A = np.vstack([np.asarray(v, dtype=float).reshape(-1) for v in vectors])
     G = A @ A.T
     return lstsq_min_norm(G, rhs)

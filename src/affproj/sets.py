@@ -32,25 +32,32 @@ class InfeasibleIntersectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """{x : <normal, x> = offset}; zero normal encodes the whole space."""
+    """{x : <normal, x> = offset}; zero normal encodes the whole space.
+
+    Whether the normal is zero is decided once, at construction, so the
+    normal must not be mutated afterwards.
+    """
 
     normal: np.ndarray
     offset: float
+    _whole_space: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normal", as_point(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
         if not np.isfinite(self.offset):
             raise ValueError("offset is not finite")
-        if not np.any(self.normal) and self.offset != 0.0:
+        whole = not np.any(self.normal)
+        if whole and self.offset != 0.0:
             raise ValueError("zero normal requires zero offset (whole space)")
+        object.__setattr__(self, "_whole_space", whole)
 
     @property
     def dim(self) -> int:
         return self.normal.shape[0]
 
     def is_whole_space(self) -> bool:
-        return not np.any(self.normal)
+        return self._whole_space
 
 
 def project_hyperplane(x, h: Hyperplane) -> np.ndarray:
@@ -85,10 +92,11 @@ def _intersection_step(x: np.ndarray, hyperplanes: Sequence[Hyperplane]):
     kept = [j for j, h in enumerate(hyperplanes) if not h.is_whole_space()]
     if not kept:
         return x.copy(), kept, np.zeros(0)
-    normals = [hyperplanes[j].normal for j in kept]
+    A = np.vstack([hyperplanes[j].normal for j in kept])
+    # one dot per row, not A @ x: a matrix-vector product may sum in another order
     resid = np.array([hyperplanes[j].offset - float(np.dot(hyperplanes[j].normal, x)) for j in kept])
-    lam = gram_solve(normals, resid)
-    p = x + np.vstack(normals).T @ lam
+    lam = gram_solve(A, resid)
+    p = x + A.T @ lam
     worst = max(abs(hyperplanes[j].offset - float(np.dot(hyperplanes[j].normal, p))) for j in kept)
     scale = max(1.0, max(abs(hyperplanes[j].offset) for j in kept))
     if worst > TOL_FEAS * scale:

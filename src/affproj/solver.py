@@ -18,6 +18,7 @@ uses; LastQ(1) makes run_alg1 coincide with run_map.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -52,23 +53,45 @@ ConditionB = All
 WindowPolicy = Union[LastQ, All]
 
 
+def _fingerprint(normal: np.ndarray) -> int:
+    """Hash of at most about 64 evenly strided entries of a normal.
+
+    Equal normals get equal fingerprints: adding 0.0 turns -0.0 into 0.0,
+    and no other two floats compare equal with different bytes (points are
+    finite).  Unequal normals may collide, so a match is only a candidate.
+    """
+    return hash((normal[::max(1, normal.shape[0] // 64)] + 0.0).tobytes())
+
+
 @dataclass
 class BufferEntry:
     index: int
     set_index: int
     h: Hyperplane
+    # _fingerprint of the normal; None for a whole-space entry
+    fingerprint: Optional[int] = None
 
 
 class HyperplaneBuffer:
-    """Ordered store of generated hyperplanes plus the window policy."""
+    """Ordered store of generated hyperplanes plus the window policy.
+
+    live lists the indices of the entries that are not the whole space, in
+    generation order, so that a selection never walks past whole-space
+    entries.
+    """
 
     def __init__(self, policy: WindowPolicy):
         self.policy = policy
         self.entries: List[BufferEntry] = []
+        self.live: List[int] = []
 
     def append(self, h: Hyperplane, set_index: int) -> int:
         idx = len(self.entries)
-        self.entries.append(BufferEntry(idx, set_index, h))
+        if h.is_whole_space():
+            self.entries.append(BufferEntry(idx, set_index, h))
+        else:
+            self.entries.append(BufferEntry(idx, set_index, h, _fingerprint(h.normal)))
+            self.live.append(idx)
         return idx
 
     def select(self, current: int) -> List[BufferEntry]:
@@ -78,19 +101,29 @@ class HyperplaneBuffer:
         recently generated nonzero-normal entries, at most q in total
         under LastQ and unbounded otherwise; duplicated normals keep
         only the newest copy.
+
+        The walk visits only nonzero-normal entries older than `current`,
+        newest first, and stops once the window is full.  A duplicate is
+        found by its fingerprint and confirmed by np.array_equal, so a
+        selection costs one dict lookup per visited entry (the window and
+        the duplicates it skips) and one array compare per fingerprint
+        match: O(window), where a pairwise dedupe costs O(window^2 n).
         """
-        chosen = [self.entries[current]]
+        cur = self.entries[current]
+        chosen = [cur]
+        by_print = {} if cur.fingerprint is None else {cur.fingerprint: [cur]}
         if isinstance(self.policy, LastQ):
             budget = self.policy.q - 1
         else:
             budget = len(self.entries)
-        for e in reversed(self.entries[:current]):
+        for j in reversed(range(bisect_left(self.live, current))):
             if budget <= 0:
                 break
-            if e.h.is_whole_space():
+            e = self.entries[self.live[j]]
+            same = by_print.setdefault(e.fingerprint, [])
+            if any(np.array_equal(e.h.normal, c.h.normal) for c in same):
                 continue
-            if any(np.array_equal(e.h.normal, c.h.normal) for c in chosen):
-                continue
+            same.append(e)
             chosen.append(e)
             budget -= 1
         chosen.reverse()

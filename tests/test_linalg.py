@@ -106,6 +106,22 @@ def test_gram_duplicated_normal_splits_weight():
 
 def test_gram_empty_family():
     assert gram_solve([], []).shape == (0,)
+    np.testing.assert_array_equal(gram_solve(np.zeros((0, 4)), []), np.zeros(0))
+
+
+def test_gram_stacked_input_gives_the_bits_of_the_list_input():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 50))
+    A[3] = A[1]  # rank deficient, as a window with a repeated normal
+    rhs = rng.standard_normal(6)
+    np.testing.assert_array_equal(gram_solve(A, rhs), gram_solve(list(A), rhs))
+
+
+def test_gram_rejects_ragged_and_mismatched_input():
+    with pytest.raises(ValueError):
+        gram_solve([np.ones(2), np.ones(3)], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        gram_solve(np.ones((2, 3)), [1.0])
 
 
 def test_gram_full_rank_matches_direct_solve():

@@ -2,6 +2,8 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affproj.diagnostics import check_fejer
 from affproj.linalg import inner, norm
@@ -289,6 +291,113 @@ def test_buffer_window_dedupes_identical_normals_keeping_newest():
     cur = buf.append(Hyperplane([0.0, 1.0], 0.0), 0)
     sel = buf.select(cur)
     assert [e.index for e in sel] == [1, 2]
+
+
+def pairwise_select(buffer, current):
+    """The former HyperplaneBuffer.select, kept as the reference: a walk
+    back over every older entry with a pairwise np.array_equal dedupe."""
+    chosen = [buffer.entries[current]]
+    if isinstance(buffer.policy, LastQ):
+        budget = buffer.policy.q - 1
+    else:
+        budget = len(buffer.entries)
+    for e in reversed(buffer.entries[:current]):
+        if budget <= 0:
+            break
+        if e.h.is_whole_space():
+            continue
+        if any(np.array_equal(e.h.normal, c.h.normal) for c in chosen):
+            continue
+        chosen.append(e)
+        budget -= 1
+    chosen.reverse()
+    return chosen
+
+
+KINDS = ("fresh", "copy", "sign", "collide", "whole")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 5, 130]),
+       st.one_of(st.builds(LastQ, st.integers(1, 6)), st.just(All())),
+       st.lists(st.sampled_from(KINDS), min_size=1, max_size=30),
+       st.integers(0, 2**32 - 1), st.data())
+def test_select_matches_pairwise_reference(dim, policy, kinds, seed, data):
+    """Exact copies, copies with the sign of their zeros flipped, copies
+    changed only off the fingerprint's stride (dim 130 samples the even
+    positions, so their fingerprints collide) and whole-space entries with
+    either signed zero, in any order."""
+    rng = np.random.default_rng(seed)
+    stride = max(1, dim // 64)
+    buf, live = HyperplaneBuffer(policy), []
+    for kind in kinds:
+        if kind == "whole":
+            a = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+        elif kind == "fresh" or not live:
+            a = rng.integers(-1, 2, dim).astype(float)
+            a[rng.integers(dim)] = 1.0
+        else:
+            a = live[rng.integers(len(live))].copy()
+            if kind == "sign":
+                a[a == 0.0] *= -1.0
+            elif kind == "collide" and stride > 1:
+                a[stride * rng.integers(dim // stride) + 1] += 1.0
+        if np.any(a):
+            live.append(a)
+        buf.append(Hyperplane(a, 0.0), 0)
+    current = data.draw(st.integers(0, len(kinds) - 1))
+    for cur in (current, len(kinds) - 1):
+        assert ([e.index for e in buf.select(cur)]
+                == [e.index for e in pairwise_select(buf, cur)])
+
+
+@pytest.mark.parametrize("older,newer", [(-0.0, 0.0), (0.0, -0.0)])
+def test_signed_zero_normals_dedupe_keeping_newest(older, newer):
+    assert Hyperplane([-0.0, -0.0], 0.0).is_whole_space()
+    buf = HyperplaneBuffer(All())
+    buf.append(Hyperplane([older, 1.0], 1.0), 0)
+    buf.append(Hyperplane([newer, 1.0], 1.0 + 1e-13), 1)
+    cur = buf.append(Hyperplane([1.0, 0.0], 0.0), 0)
+    assert [e.index for e in buf.select(cur)] == [1, 2]
+
+
+def test_colliding_fingerprints_keep_both_normals():
+    """Normals of length 130 are fingerprinted on their even positions, so
+    these two collide; the array compare must still keep both."""
+    a = np.ones(130)
+    b = a.copy()
+    b[1] = 2.0
+    buf = HyperplaneBuffer(All())
+    buf.append(Hyperplane(a, 0.0), 0)
+    cur = buf.append(Hyperplane(b, 0.0), 1)
+    assert buf.entries[0].fingerprint == buf.entries[1].fingerprint
+    assert [e.index for e in buf.select(cur)] == [0, 1]
+
+
+def test_select_does_not_walk_back_past_whole_space_entries(monkeypatch):
+    """A run at a fixed point records the whole space at every iteration;
+    a LastQ(q) selection after that must cost O(q) checks, not one per
+    entry."""
+    buf = HyperplaneBuffer(LastQ(2))
+    for _ in range(5000):
+        buf.append(Hyperplane(np.zeros(3), 0.0), 0)
+    buf.append(Hyperplane([1.0, 0.0, 0.0], 0.0), 1)
+    cur = buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 2)
+    calls = {"array_equal": 0, "is_whole_space": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "array_equal", counted("array_equal", np.array_equal))
+    monkeypatch.setattr(Hyperplane, "is_whole_space",
+                        counted("is_whole_space", Hyperplane.is_whole_space))
+    assert [e.index for e in buf.select(cur)] == [5000, 5001]
+    buf.policy = All()
+    assert [e.index for e in buf.select(cur)] == [5000, 5001]
+    assert calls["array_equal"] <= 2 and calls["is_whole_space"] <= 4
 
 
 def test_buffer_rejects_nonpositive_window():
