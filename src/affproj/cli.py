@@ -126,15 +126,13 @@ def _make_policy(args) -> WindowPolicy:
 
 
 def _solve(problem: Problem, alg: str, policy: WindowPolicy,
-           stop: StoppingRule, oracle_point=None) -> SolveResult:
+           stop: StoppingRule) -> SolveResult:
     if alg == "map":
-        return run_map(problem.sets, problem.x0, stop=stop, oracle_point=oracle_point)
+        return run_map(problem.sets, problem.x0, stop=stop)
     if alg == "alg1":
-        return run_alg1(problem.sets, problem.x0, policy=policy, stop=stop,
-                        oracle_point=oracle_point)
+        return run_alg1(problem.sets, problem.x0, policy=policy, stop=stop)
     if alg == "alg2":
-        return run_alg2(problem.sets, problem.x0, policy=policy, stop=stop,
-                        oracle_point=oracle_point)
+        return run_alg2(problem.sets, problem.x0, policy=policy, stop=stop)
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
@@ -142,20 +140,23 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def write_trace_csv(fh, result: SolveResult, k: int) -> None:
+def write_trace_csv(fh, result: SolveResult, sets: Sequence[AffineSet],
+                    oracle_point: Optional[np.ndarray] = None) -> None:
     """Fixed schema: iter,phase,set_index,step_norm,residual_max,
-    residual_per_set_1..k,dist_oracle.  Set indices are 1-based;
-    unavailable fields are left empty."""
+    residual_per_set_1..k,dist_oracle, with the residuals and the distance
+    to oracle_point computed from each record's point.  Set indices are
+    1-based; dist_oracle is left empty without an oracle point."""
     cols = ["iter", "phase", "set_index", "step_norm", "residual_max"]
-    cols += [f"residual_per_set_{i + 1}" for i in range(k)]
+    cols += [f"residual_per_set_{i + 1}" for i in range(len(sets))]
     cols.append("dist_oracle")
     fh.write(",".join(cols) + "\n")
     for r in result.trace:
+        residuals = [s.residual(r.point) for s in sets]
         row = [str(r.index), r.phase,
                "" if r.set_index is None else str(r.set_index + 1),
-               _fmt(r.step_norm), _fmt(max(r.per_set_residuals))]
-        row += [_fmt(v) for v in r.per_set_residuals]
-        row.append("" if r.distance_to_oracle is None else _fmt(r.distance_to_oracle))
+               _fmt(r.step_norm), _fmt(max(residuals))]
+        row += [_fmt(v) for v in residuals]
+        row.append("" if oracle_point is None else _fmt(norm(r.point - oracle_point)))
         fh.write(",".join(row) + "\n")
 
 
@@ -169,10 +170,10 @@ def cmd_run(args) -> int:
     policy = _make_policy(args)
     stop = StoppingRule(stop_tol=args.stop_tol, max_iter=args.max_iter)
     oracle_point = _oracle_point(problem) if args.oracle else None
-    result = _solve(problem, args.alg, policy, stop, oracle_point)
+    result = _solve(problem, args.alg, policy, stop)
     if args.output:
         with open(args.output, "w", newline="") as fh:
-            write_trace_csv(fh, result, len(problem.sets))
+            write_trace_csv(fh, result, problem.sets, oracle_point)
     print(f"problem: {problem.label}")
     print(f"algorithm: {args.alg}  policy: {policy}")
     print(f"iterations: {result.iterations}  converged: {result.converged}  "

@@ -24,17 +24,15 @@ class IterationRecord:
 
     index is the main-iteration number (records of the same iteration
     share it); phase is one of set-projection, hyperplane-projection,
-    m1-projection.  per_set_residuals has one distance per problem set.
-    distance_to_oracle is filled only when a reference solution was
-    supplied to the run.
+    m1-projection.  point is a copy of the sub-step's point; residuals
+    and distances are computed from it by the reader that wants them
+    (see cli.write_trace_csv).
     """
 
     index: int
     phase: str
     set_index: Optional[int]
     step_norm: float
-    per_set_residuals: List[float]
-    distance_to_oracle: Optional[float]
     point: np.ndarray
 
 
@@ -56,12 +54,7 @@ def check_fejer(points: Sequence[np.ndarray], m) -> float:
     correct run up to roundoff (<= 1e-9 in the test suites).  m must be
     a verified member of the intersection.
     """
-    m = as_point(m)
-    pts = list(points)
-    if len(pts) < 2:
-        return 0.0
-    dists = [norm(np.asarray(p) - m) for p in pts]
-    return max(b - a for a, b in zip(dists[:-1], dists[1:]))
+    return count_fejer_violations(points, m)[1]
 
 
 def count_fejer_violations(points: Sequence[np.ndarray], m, tol: float = 1e-9):

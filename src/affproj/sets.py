@@ -93,13 +93,13 @@ def _intersection_step(x: np.ndarray, hyperplanes: Sequence[Hyperplane]):
     if not kept:
         return x.copy(), kept, np.zeros(0)
     A = np.vstack([hyperplanes[j].normal for j in kept])
-    # one dot per row, not A @ x: a matrix-vector product may sum in another order
-    resid = np.array([hyperplanes[j].offset - float(np.dot(hyperplanes[j].normal, x)) for j in kept])
+    b = np.array([hyperplanes[j].offset for j in kept])
+    # one dot per row, not A @ x, which may sum in another order: lam depends on these bits
+    resid = b - np.array([np.dot(hyperplanes[j].normal, x) for j in kept])
     lam = gram_solve(A, resid)
     p = x + A.T @ lam
-    worst = max(abs(hyperplanes[j].offset - float(np.dot(hyperplanes[j].normal, p))) for j in kept)
-    scale = max(1.0, max(abs(hyperplanes[j].offset) for j in kept))
-    if worst > TOL_FEAS * scale:
+    worst = np.max(np.abs(b - A @ p))  # only decides whether to raise
+    if worst > TOL_FEAS * max(1.0, np.max(np.abs(b))):
         raise InfeasibleIntersectionError(
             f"hyperplane family is inconsistent (residual {worst:.3e})")
     return p, kept, lam

@@ -3,6 +3,8 @@ import pytest
 
 from affproj import mmup
 from affproj.cli import main, random_family
+from affproj.linalg import norm
+from affproj.oracle import direct_projection, stack
 from affproj.solver import All, LastQ, StoppingRule, run_alg2, run_map
 
 EXP2_HEADER = ("iter,phase,set_index,step_norm,residual_max,"
@@ -25,6 +27,21 @@ def test_run_writes_trace_csv(tmp_path, capsys):
         assert cells[2] in ("", "1", "2")   # set indices are 1-based
         float(cells[3]), float(cells[4])
     assert "constraint residual:" in capsys.readouterr().out
+
+
+def test_trace_csv_values_come_from_the_trace_points(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--random", "dim=12,k=2,seed=0", "--alg", "alg2", "--q", "2",
+                 "--oracle", "--output", str(out)]) == 0
+    sets, x0, _ = random_family(12, 2, [2, 2], 0)
+    r = run_alg2(sets, x0, policy=LastQ(2), stop=StoppingRule(1e-10, 10000))
+    oracle_point = direct_projection(x0, stack(sets))
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + len(r.trace)
+    for line, rec in zip(lines[1:], r.trace):
+        cells = [float(c) for c in line.split(",")[4:]]
+        residuals = [s.residual(rec.point) for s in sets]
+        assert cells == [max(residuals)] + residuals + [norm(rec.point - oracle_point)]
 
 
 def test_run_is_deterministic(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from affproj.diagnostics import check_fejer
 from affproj.linalg import inner, norm
 from affproj.oracle import direct_projection, stack
-from affproj.sets import (Hyperplane, HyperplaneSet, RowConstraintSet,
-                          project_hyperplane_intersection)
+from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleSetError,
+                          RowConstraintSet, project_hyperplane_intersection)
 from affproj.solver import (All, ConditionB, CyclicSchedule, HyperplaneBuffer,
                             LastQ, StoppingRule, _correct, lift_start,
                             run_alg1, run_alg2, run_map)
@@ -114,7 +114,7 @@ def test_map_trace_fields():
     r = run_map(sets, [2.0, 1.0], stop=StoppingRule(1e-10, 50))
     for rec in r.trace:
         assert rec.phase == "set-projection"
-        assert len(rec.per_set_residuals) == 2
+        assert sets[rec.set_index].residual(rec.point) <= 1e-12
         assert rec.step_norm >= 0.0
 
 
@@ -234,6 +234,64 @@ def test_degenerate_composite_step_is_skipped_with_note():
     assert not r.converged
     assert any("degenerate composite step" in w for w in r.warnings)
     assert all(h.is_whole_space() for _, h in r.generated)
+
+
+@pytest.mark.parametrize("runner", [run_map, run_alg1, run_alg2])
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_one_residual_check_per_set_and_iteration(runner, m):
+    """The stop rule reads the residuals of the main iterate only: k checks
+    per iteration, plus k for alg2's starting lift."""
+    calls = []
+
+    class CountingSet(RowConstraintSet):
+        def residual(self, x):
+            calls.append(1)
+            return super().residual(x)
+
+    family, x0, _ = random_family(11)
+    sets = [CountingSet(s.C, s.d) for s in family]
+    r = runner(sets, x0, stop=StoppingRule(0.0, m))
+    assert len(calls) == len(sets) * (r.iterations + (runner is run_alg2))
+
+
+@pytest.mark.parametrize("runner,kwargs", [
+    (run_map, {}),
+    (run_alg1, {"policy": LastQ(3)}),
+    (run_alg2, {"policy": LastQ(3)}),
+])
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_infeasible_set_stops_before_anything_is_recorded(runner, kwargs, index):
+    sets, x0 = family_with_inconsistent_set(index)
+    r = runner(sets, x0, **kwargs)
+    assert r.stop_reason == "infeasible"
+    assert (r.iterations, r.trace, r.generated, r.selected_history) == (0, [], [], [])
+    assert len(r.warnings) == 1
+
+
+def test_failed_iteration_records_nothing():
+    # x0 lies in sets 0 and 1, so alg2's first composite step is degenerate
+    # and notes it; the residual check of set 2 then fails, and the iteration
+    # leaves neither its hyperplane nor its note behind
+    checks = []
+
+    def failing_after_one_check(x):
+        checks.append(1)
+        if len(checks) > 1:
+            raise InfeasibleSetError("set 2 failed")
+        return abs(x[2])
+
+    def drop_third(x):
+        p = x.copy()
+        p[2] = 0.0
+        return p
+
+    e = np.eye(3)
+    sets = [RowConstraintSet(e[:1], [0.0]), RowConstraintSet(e[1:2], [0.0]),
+            CustomSet(3, drop_third, residual_fn=failing_after_one_check)]
+    r = run_alg2(sets, [0.0, 0.0, 1.0], policy=LastQ(2))
+    assert r.stop_reason == "infeasible"
+    assert r.warnings == ["iteration 1: set 2 failed"]
+    assert (r.iterations, len(r.trace), r.generated, r.selected_history) == (0, 1, [], [])
 
 
 @pytest.mark.parametrize("index", [0, 1, 3])
