@@ -6,8 +6,8 @@ least-squares oracle, and the quadratic-pencil model-updating problem
 family built on top of them.
 """
 
-from .diagnostics import (ConditionReport, IterationRecord, check_b_prime,
-                          check_condition_b, check_fejer, condition_report)
+from .diagnostics import (ConditionReport, IterationRecord, check_b_prime, check_condition_b,
+                          check_fejer, condition_report, step_decompositions)
 from .linalg import gram_solve, inner, lstsq_min_norm, norm
 from .oracle import StackedConstraints, UnsupportedSetError, direct_projection, stack
 from .sets import (AffineSet, CustomSet, Hyperplane, HyperplaneSet,
@@ -31,5 +31,5 @@ __all__ = [
     "direct_projection", "gram_solve", "inner", "lift_start",
     "lstsq_min_norm", "norm", "project_hyperplane",
     "project_hyperplane_intersection", "project_row_constraint", "residual",
-    "run_alg1", "run_alg2", "run_map", "stack",
+    "run_alg1", "run_alg2", "run_map", "stack", "step_decompositions",
 ]

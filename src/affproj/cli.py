@@ -62,6 +62,8 @@ def _parse_random_spec(spec: str):
         seed = int(fields.get("seed", "0"))
     except KeyError as e:
         raise ValueError(f"random spec is missing {e.args[0]!r}") from None
+    if k < 1:
+        raise ValueError(f"random spec needs k >= 1, got k={k}")
     if "codims" in fields:
         codims = [int(c) for c in fields["codims"].split(":")]
     else:

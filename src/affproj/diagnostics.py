@@ -1,11 +1,12 @@
-"""Runtime monitors for the convergence behaviour of a solver run.
+"""Monitors for the convergence behaviour of a solver run.
 
 These check observable certificates on a finished (or in-progress)
 trace: monotone distance decrease toward a known member of the
 intersection, the span condition linking the accumulated displacement
-to the recorded hyperplane normals, and the bounded-ratio condition on
-the per-iteration orthogonal decompositions.  They report margins and
-ratios; they do not prove convergence.
+to the recorded hyperplane normals, and the bounded-ratio condition (B')
+on the per-iteration orthogonal decompositions, which step_decompositions
+rebuilds after the run.  They report margins and ratios; they do not
+prove convergence.
 """
 
 from __future__ import annotations
@@ -34,6 +35,20 @@ class IterationRecord:
     set_index: Optional[int]
     step_norm: float
     point: np.ndarray
+
+
+@dataclass
+class StepDecomposition:
+    """Squared-norm bookkeeping for one main iteration.
+
+    components: sum over sets of ||v_l||^2 for the orthogonal pieces
+    assigned to each set (the set-projection displacement plus the
+    correction terms grouped by the set that generated each normal).
+    steps: ||x - x~||^2 + ||x~ - x_next||^2.
+    """
+
+    components: float
+    steps: float
 
 
 @dataclass
@@ -78,11 +93,58 @@ def check_condition_b(x0, x_i, normals: Sequence[np.ndarray]) -> float:
     v = as_point(x0) - as_point(x_i)
     normals = [np.asarray(a, dtype=float).reshape(-1) for a in normals]
     normals = [a for a in normals if np.any(a)]
-    if not normals:
+    return _span_residual(v, np.reshape(normals, (len(normals), v.shape[0])))
+
+
+def _span_residual(v: np.ndarray, normals: np.ndarray) -> float:
+    """Distance of v from the span of the rows of normals."""
+    if not normals.shape[0]:
         return norm(v)
-    A = np.vstack(normals).T  # columns span the candidate subspace
+    A = normals.T  # columns span the candidate subspace
     coef = lstsq_min_norm(A, v)
     return norm(v - A @ coef)
+
+
+def _corrections(result):
+    """For each correction of an accelerated run: the stacked normals of
+    its window's nonzero-normal entries, in window order, and its
+    StepDecomposition under run_alg1 (None under run_alg2)."""
+    dim = result.x0.shape[0]
+    for i, selected in enumerate(result.selected_history):
+        live = [result.generated[j] for j in selected]
+        live = [(k, h.normal) for k, h in live if not h.is_whole_space()]
+        normals = np.reshape([a for _, a in live], (len(live), dim))
+        alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
+        yield normals, (_alg1_decomposition(result, i, [k for k, _ in live], normals)
+                        if alg1 else None)
+
+
+def _alg1_decomposition(result, i: int, set_indices, normals) -> StepDecomposition:
+    """Iteration i + 1 of run_alg1: the recorded normal (the set projection's
+    displacement), then the correction sum(lam_j a_j) split by the set that
+    generated each a_j; every normal is orthogonal to its set's directions."""
+    a = result.generated[i][1].normal
+    total = float(np.dot(a, a))
+    lam = result.coefficients[i]  # empty after a fallback to no correction
+    by_set = {}
+    for k, piece in zip(set_indices, normals[:lam.shape[0]] * lam[:, None]):
+        by_set[k] = by_set[k] + piece if k in by_set else piece
+    total += float(sum(np.dot(v, v) for v in by_set.values()))
+    project, correct = result.trace[2 * i].step_norm, result.trace[2 * i + 1].step_norm
+    return StepDecomposition(components=total, steps=project * project + correct * correct)
+
+
+def step_decompositions(result) -> List[StepDecomposition]:
+    """The per-iteration decompositions of a finished run.
+
+    Under run_map components and steps are both an iteration's squared
+    step norm; under run_alg1 see _alg1_decomposition.  run_alg2 has none:
+    its corrections follow a composite step.
+    """
+    if all(r.phase == "set-projection" for r in result.trace):  # run_map
+        return [StepDecomposition(components=s * s, steps=s * s)
+                for s in (r.step_norm for r in result.trace)]
+    return [d for _, d in _corrections(result) if d is not None]
 
 
 def check_b_prime(decompositions) -> List[float]:
@@ -117,24 +179,24 @@ def condition_report(result, m: Optional[np.ndarray] = None,
     Fejer fields are reported as zero-length (0 violations, 0 margin).
     Condition-B residuals need the run to have recorded hyperplanes
     (the accelerated schemes); for plain alternating projections the
-    series is empty.
+    series is empty.  One pass over the corrections stacks each window
+    once, for its span residual and, under run_alg1, its decomposition.
     """
     if m is not None:
         viol, worst = count_fejer_violations(result.points(), m, tol=fejer_tol)
     else:
         viol, worst = 0, 0.0
-    cond_b = []
-    if result.generated and result.selected_history:
-        main_points = [r.point for r in result.trace if r.phase == "hyperplane-projection"]
-        for i, sel in enumerate(result.selected_history):
-            if i >= len(main_points):
-                break
-            normals = [result.generated[j][1].normal for j in sel]
-            cond_b.append(check_condition_b(result.x0, main_points[i], normals))
+    x0 = as_point(result.x0)
+    main_points = [r.point for r in result.trace if r.phase == "hyperplane-projection"]
+    cond_b, decomps = [], [] if result.selected_history else step_decompositions(result)
+    for point, (normals, d) in zip(main_points, _corrections(result)):
+        cond_b.append(_span_residual(x0 - point, normals))
+        if d is not None:
+            decomps.append(d)
     return ConditionReport(
         fejer_violations=viol,
         fejer_worst=worst,
         condition_b_residuals=cond_b,
-        b_prime_ratios=check_b_prime(result.decompositions),
-        sum_of_squares=running_sum_of_squares(result.decompositions),
+        b_prime_ratios=check_b_prime(decomps),
+        sum_of_squares=running_sum_of_squares(decomps),
     )

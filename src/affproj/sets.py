@@ -84,14 +84,13 @@ def project_row_constraint(x, C, d) -> np.ndarray:
 def _intersection_step(x: np.ndarray, hyperplanes: Sequence[Hyperplane]):
     """Project onto the intersection of hyperplanes.
 
-    Returns (projected point, kept positions, coefficients) where kept
-    lists the positions of the nonzero-normal hyperplanes actually used
-    and coefficients are their combination weights, so callers can
-    attribute the correction sum(lam_j * a_j) term by term.
+    Returns (projected point, coefficients), one coefficient lam_j per
+    nonzero-normal hyperplane in order, so callers can attribute the
+    correction sum(lam_j * a_j) term by term.
     """
     kept = [j for j, h in enumerate(hyperplanes) if not h.is_whole_space()]
     if not kept:
-        return x.copy(), kept, np.zeros(0)
+        return x.copy(), np.zeros(0)
     A = np.vstack([hyperplanes[j].normal for j in kept])
     b = np.array([hyperplanes[j].offset for j in kept])
     # one dot per row, not A @ x, which may sum in another order: lam depends on these bits
@@ -102,7 +101,7 @@ def _intersection_step(x: np.ndarray, hyperplanes: Sequence[Hyperplane]):
     if worst > TOL_FEAS * max(1.0, np.max(np.abs(b))):
         raise InfeasibleIntersectionError(
             f"hyperplane family is inconsistent (residual {worst:.3e})")
-    return p, kept, lam
+    return p, lam
 
 
 def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.ndarray:
@@ -116,8 +115,7 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
     for h in hyperplanes:
         if h.dim != x.shape[0]:
             raise ValueError("hyperplane dimension mismatch")
-    p, _, _ = _intersection_step(x, hyperplanes)
-    return p
+    return _intersection_step(x, hyperplanes)[0]
 
 
 class AffineSet:

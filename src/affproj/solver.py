@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,31 +54,18 @@ ConditionB = All
 WindowPolicy = Union[LastQ, All]
 
 
-def _fingerprint(normal: np.ndarray) -> int:
-    """Hash of at most about 64 evenly strided entries of a normal.
-
-    Equal normals get equal fingerprints: adding 0.0 turns -0.0 into 0.0,
-    and no other two floats compare equal with different bytes (points are
-    finite).  Unequal normals may collide, so a match is only a candidate.
-    """
-    return hash((normal[::max(1, normal.shape[0] // 64)] + 0.0).tobytes())
-
-
 @dataclass
 class BufferEntry:
     index: int
     set_index: int
     h: Hyperplane
-    # _fingerprint of the normal; None for a whole-space entry
-    fingerprint: Optional[int] = None
 
 
 class HyperplaneBuffer:
     """Ordered store of generated hyperplanes plus the window policy.
 
     live lists the indices of the entries that are not the whole space, in
-    generation order, so that a selection never walks past whole-space
-    entries.
+    generation order, so that a selection is a slice of it.
     """
 
     def __init__(self, policy: WindowPolicy):
@@ -87,47 +75,23 @@ class HyperplaneBuffer:
 
     def append(self, h: Hyperplane, set_index: int) -> int:
         idx = len(self.entries)
-        if h.is_whole_space():
-            self.entries.append(BufferEntry(idx, set_index, h))
-        else:
-            self.entries.append(BufferEntry(idx, set_index, h, _fingerprint(h.normal)))
+        self.entries.append(BufferEntry(idx, set_index, h))
+        if not h.is_whole_space():
             self.live.append(idx)
         return idx
 
     def select(self, current: int) -> List[BufferEntry]:
         """Entries for the correction at generation index `current`.
 
-        The current entry is always included.  The rest are the most
-        recently generated nonzero-normal entries, at most q in total
-        under LastQ and unbounded otherwise; duplicated normals keep
-        only the newest copy.
-
-        The walk visits only nonzero-normal entries older than `current`,
-        newest first, and stops once the window is full.  A duplicate is
-        found by its fingerprint and confirmed by np.array_equal, so a
-        selection costs one dict lookup per visited entry (the window and
-        the duplicates it skips) and one array compare per fingerprint
-        match: O(window), where a pairwise dedupe costs O(window^2 n).
+        The live entries generated before `current` (the newest q - 1 under
+        LastQ, all of them otherwise), in generation order, then `current`
+        itself.  Repeated normals are kept: they make the window's Gram
+        matrix singular, which the min-norm Gram solve handles.  A selection
+        is a slice of live, so it costs O(window).
         """
-        cur = self.entries[current]
-        chosen = [cur]
-        by_print = {} if cur.fingerprint is None else {cur.fingerprint: [cur]}
-        if isinstance(self.policy, LastQ):
-            budget = self.policy.q - 1
-        else:
-            budget = len(self.entries)
-        for j in reversed(range(bisect_left(self.live, current))):
-            if budget <= 0:
-                break
-            e = self.entries[self.live[j]]
-            same = by_print.setdefault(e.fingerprint, [])
-            if any(np.array_equal(e.h.normal, c.h.normal) for c in same):
-                continue
-            same.append(e)
-            chosen.append(e)
-            budget -= 1
-        chosen.reverse()
-        return chosen
+        older = bisect_left(self.live, current)
+        first = max(0, older - self.policy.q + 1) if isinstance(self.policy, LastQ) else 0
+        return [self.entries[j] for j in self.live[first:older]] + [self.entries[current]]
 
 
 @dataclass
@@ -157,23 +121,20 @@ class StoppingRule:
     stop_tol: float = 1e-10
     max_iter: int = 10000
 
-
-@dataclass
-class StepDecomposition:
-    """Squared-norm bookkeeping for one main iteration.
-
-    components: sum over sets of ||v_l||^2 for the orthogonal pieces
-    assigned to each set (the set-projection displacement plus the
-    correction terms grouped by the set that generated each normal).
-    steps: ||x - x~||^2 + ||x~ - x_next||^2.
-    """
-
-    components: float
-    steps: float
+    def __post_init__(self):
+        if not self.stop_tol >= 0.0:  # also rejects NaN
+            raise ValueError("stop_tol must be a non-negative number")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 0:
+            raise ValueError("max_iter must be a non-negative integer")
 
 
 @dataclass
 class SolveResult:
+    """Under run_alg1 and run_alg2, correction i used the generated entries
+    selected_history[i] with weights coefficients[i], one per nonzero normal
+    (none after a fallback to no correction); diagnostics.step_decompositions
+    rebuilds the decompositions of condition (B') from them."""
+
     solution: np.ndarray
     iterations: int
     trace: List[IterationRecord]
@@ -183,7 +144,7 @@ class SolveResult:
     warnings: List[str] = field(default_factory=list)
     generated: List[Tuple[int, Hyperplane]] = field(default_factory=list)
     selected_history: List[List[int]] = field(default_factory=list)
-    decompositions: List[StepDecomposition] = field(default_factory=list)
+    coefficients: List[np.ndarray] = field(default_factory=list)
 
     def points(self) -> List[np.ndarray]:
         """Full interleaved point sequence, starting point first."""
@@ -211,42 +172,23 @@ def _correct(x: np.ndarray, buffer: HyperplaneBuffer, current: int,
     numerical infeasibility report, drop the older half of the window
     and retry once, then fall back to no correction at all.
 
-    Returns (corrected point, selected entries, used entries, coefficients).
+    Returns (corrected point, selected entries, coefficients); see
+    SolveResult.coefficients.
     """
     selected = buffer.select(current)
     try:
-        p, kept, lam = _intersection_step(x, [e.h for e in selected])
+        p, lam = _intersection_step(x, [e.h for e in selected])
     except InfeasibleIntersectionError:
         selected = selected[len(selected) // 2:]
         try:
-            p, kept, lam = _intersection_step(x, [e.h for e in selected])
+            p, lam = _intersection_step(x, [e.h for e in selected])
             warnings.append(f"correction {current}: dropped oldest hyperplanes after "
                             "an inconsistent intersection")
         except InfeasibleIntersectionError:
             warnings.append(f"correction {current}: intersection still inconsistent, "
                             "fell back to the uncorrected iterate")
-            return x.copy(), selected, [], np.zeros(0)
-    used = [selected[j] for j in kept]
-    return p, selected, used, lam
-
-
-def _component_sum(displacement: np.ndarray, used, lam) -> float:
-    """||displacement||^2 plus the per-set squared norms of the
-    correction pieces, grouped by the set that generated each normal.
-
-    Every normal is orthogonal to its generating set's directions, so
-    this realizes one admissible orthogonal-component decomposition of
-    the iteration's movement."""
-    total = float(np.dot(displacement, displacement))
-    by_set = {}
-    for e, c in zip(used, lam):
-        v = by_set.get(e.set_index)
-        if v is None:
-            by_set[e.set_index] = c * e.h.normal
-        else:
-            by_set[e.set_index] = v + c * e.h.normal
-    total += float(sum(np.dot(v, v) for v in by_set.values()))
-    return total
+            return x.copy(), selected, np.zeros(0)
+    return p, selected, lam
 
 
 def _record(index, phase, set_index, point, step):
@@ -264,10 +206,10 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
     (phase, set index, point) triples; without support, their end is the
     next iterate.  support(x, path, i, warnings) gives the recorded
     hyperplane as a normal (None: the whole space) and a point on it,
-    and the window correction of the path's end is the next iterate; a
-    one-projection path's normal is taken as its displacement for the
-    StepDecomposition.  lift is the set the start is first projected
-    onto; the default schedule then skips it (set 0).
+    and the window correction of the path's end is the next iterate; the
+    correction's window and coefficients are only stored, for diagnostics.
+    lift is the set the start is first projected onto; the default
+    schedule then skips it (set 0).
 
     The stop rule reads only the next iterate's residuals, which are the
     one check of an iteration; an iteration that raises InfeasibleSetError
@@ -283,7 +225,7 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
     schedule = schedule or CyclicSchedule(list(range(int(lift is not None), len(sets))))
     stop = stop or StoppingRule()
     buffer = HyperplaneBuffer(policy)
-    trace, warnings, decomps, selected_history = [], [], [], []
+    trace, warnings, selected_history, coefficients = [], [], [], []
     i = substeps = 0
     reason = "max-iter"
     x = start.copy()
@@ -315,7 +257,7 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
                 h = (Hyperplane(np.zeros_like(x), 0.0) if normal is None
                      else Hyperplane(normal, inner(normal, through)))
                 cur = buffer.append(h, l)
-                xn, selected, used, lam = _correct(xn, buffer, cur, warnings)
+                xn, selected, lam = _correct(xn, buffer, cur, warnings)
             residuals = _set_residuals(sets, xn)
         except InfeasibleSetError as e:
             del warnings[noted:]
@@ -326,17 +268,11 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
         i += 1
         trace += records
         x = xn
-        if support is None:
-            decomps.append(StepDecomposition(components=step * step, steps=step * step))
-        else:
+        if support is not None:
             substeps += 1
             selected_history.append([e.index for e in selected])
-            moved = norm(x - end)
-            trace.append(_record(i, "hyperplane-projection", None, x, moved))
-            if len(steps) == 1:
-                decomps.append(StepDecomposition(
-                    components=_component_sum(h.normal, used, lam),
-                    steps=step * step + moved * moved))
+            coefficients.append(lam)
+            trace.append(_record(i, "hyperplane-projection", None, x, norm(x - end)))
         if max(residuals) <= stop.stop_tol:
             reason = "residual-met"
     return SolveResult(solution=x, iterations=i, trace=trace,
@@ -344,7 +280,7 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
                        warnings=warnings,
                        # drops the hyperplane of an iteration that failed
                        generated=[(e.set_index, e.h) for e in buffer.entries[:i]],
-                       selected_history=selected_history, decompositions=decomps)
+                       selected_history=selected_history, coefficients=coefficients)
 
 
 def _set_projection(sets, l, x):

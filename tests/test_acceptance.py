@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from affproj import mmup
 from affproj.cli import random_family
-from affproj.diagnostics import check_b_prime, check_fejer
+from affproj.diagnostics import check_b_prime, check_fejer, step_decompositions
 from affproj.linalg import as_point, inner, norm
 from affproj.oracle import direct_projection, stack
 from affproj.sets import (Hyperplane, HyperplaneSet, RowConstraintSet,
@@ -158,7 +158,7 @@ def test_invariant_suite():
         for rec in r_2.trace:
             if rec.phase in ("m1-projection", "hyperplane-projection"):
                 worst_member = max(worst_member, sets[0].residual(rec.point))
-        for rho in check_b_prime(r_map.decompositions):
+        for rho in check_b_prime(step_decompositions(r_map)):
             worst_ratio_dev = max(worst_ratio_dev, abs(rho - 1.0))
 
     # start-point orthogonality on linear families (0 in every set)

@@ -157,5 +157,15 @@ def test_invalid_configurations(argv):
     assert rc == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--random", "dim=10,k=0"],
+    ["run", "--random", "dim=10,k=2,seed=1", "--alg", "alg1", "--stop-tol", "nan"],
+    ["run", "--random", "dim=10,k=2,seed=1", "--max-iter", "-5"],
+])
+def test_out_of_range_values_are_reported_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_problem_file():
     assert main(["run", "--problem", "/nonexistent/prob.json"]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affproj.diagnostics import check_fejer
+from affproj.diagnostics import check_fejer, step_decompositions
 from affproj.linalg import inner, norm
 from affproj.oracle import direct_projection, stack
 from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleSetError,
@@ -65,6 +65,14 @@ def test_map_respects_max_iter():
     assert not r.converged
     assert r.stop_reason == "max-iter"
     assert r.iterations == 5
+
+
+@pytest.mark.parametrize("kwargs", [{"stop_tol": float("nan")}, {"stop_tol": -1e-10},
+                                    {"max_iter": -5}, {"max_iter": 2.5}])
+def test_stopping_rule_rejects_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        StoppingRule(**kwargs)
+    StoppingRule(0.0, 0)  # both bounds are valid
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -342,18 +350,20 @@ def test_buffer_window_skips_whole_space_entries():
     assert [e.index for e in sel] == [0, 2]
 
 
-def test_buffer_window_dedupes_identical_normals_keeping_newest():
+def test_buffer_window_keeps_identical_normals_in_generation_order():
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane([1.0, 0.0], 1.0), 0)
     buf.append(Hyperplane([1.0, 0.0], 1.0 + 1e-13), 1)
     cur = buf.append(Hyperplane([0.0, 1.0], 0.0), 0)
     sel = buf.select(cur)
-    assert [e.index for e in sel] == [1, 2]
+    assert [e.index for e in sel] == [0, 1, 2]
+    buf.policy = LastQ(2)
+    assert [e.index for e in buf.select(cur)] == [1, 2]
 
 
 def pairwise_select(buffer, current):
     """The former HyperplaneBuffer.select, kept as the reference: a walk
-    back over every older entry with a pairwise np.array_equal dedupe."""
+    back over every older entry, skipping whole-space entries."""
     chosen = [buffer.entries[current]]
     if isinstance(buffer.policy, LastQ):
         budget = buffer.policy.q - 1
@@ -363,8 +373,6 @@ def pairwise_select(buffer, current):
         if budget <= 0:
             break
         if e.h.is_whole_space():
-            continue
-        if any(np.array_equal(e.h.normal, c.h.normal) for c in chosen):
             continue
         chosen.append(e)
         budget -= 1
@@ -382,8 +390,7 @@ KINDS = ("fresh", "copy", "sign", "collide", "whole")
        st.integers(0, 2**32 - 1), st.data())
 def test_select_matches_pairwise_reference(dim, policy, kinds, seed, data):
     """Exact copies, copies with the sign of their zeros flipped, copies
-    changed only off the fingerprint's stride (dim 130 samples the even
-    positions, so their fingerprints collide) and whole-space entries with
+    changed in one odd position (dim 130) and whole-space entries with
     either signed zero, in any order."""
     rng = np.random.default_rng(seed)
     stride = max(1, dim // 64)
@@ -410,25 +417,24 @@ def test_select_matches_pairwise_reference(dim, policy, kinds, seed, data):
 
 
 @pytest.mark.parametrize("older,newer", [(-0.0, 0.0), (0.0, -0.0)])
-def test_signed_zero_normals_dedupe_keeping_newest(older, newer):
+def test_signed_zero_normals_kept_in_generation_order(older, newer):
     assert Hyperplane([-0.0, -0.0], 0.0).is_whole_space()
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane([older, 1.0], 1.0), 0)
     buf.append(Hyperplane([newer, 1.0], 1.0 + 1e-13), 1)
     cur = buf.append(Hyperplane([1.0, 0.0], 0.0), 0)
-    assert [e.index for e in buf.select(cur)] == [1, 2]
+    assert [e.index for e in buf.select(cur)] == [0, 1, 2]
 
 
 def test_colliding_fingerprints_keep_both_normals():
-    """Normals of length 130 are fingerprinted on their even positions, so
-    these two collide; the array compare must still keep both."""
+    """Two normals of length 130 that agree on every even position: a
+    window must keep both."""
     a = np.ones(130)
     b = a.copy()
     b[1] = 2.0
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane(a, 0.0), 0)
     cur = buf.append(Hyperplane(b, 0.0), 1)
-    assert buf.entries[0].fingerprint == buf.entries[1].fingerprint
     assert [e.index for e in buf.select(cur)] == [0, 1]
 
 
@@ -469,7 +475,7 @@ def test_inconsistent_window_drops_oldest_and_warns():
     buf.append(Hyperplane([2.0, 0.0, 0.0], 1.0), 1)  # parallel, incompatible
     cur = buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 0)
     warnings = []
-    p, selected, used, lam = _correct(np.array([5.0, 5.0, 5.0]), buf, cur, warnings)
+    p, selected, lam = _correct(np.array([5.0, 5.0, 5.0]), buf, cur, warnings)
     assert warnings and "dropped oldest" in warnings[0]
     # the retained window is consistent and was actually projected onto
     assert abs(p[1]) < 1e-12
@@ -483,9 +489,10 @@ def test_unresolvable_window_falls_back_to_unmoved_point():
     cur = buf.append(Hyperplane([2.0, 0.0, 0.0], 1.0), 1)
     warnings = []
     x = np.array([5.0, 5.0, 5.0])
-    p, selected, used, lam = _correct(x, buf, cur, warnings)
+    p, selected, lam = _correct(x, buf, cur, warnings)
     assert any("fell back" in w for w in warnings)
     np.testing.assert_array_equal(p, x)
+    assert lam.size == 0
 
 
 # -- shared convergence certificates ----------------------------------------
@@ -528,5 +535,5 @@ def test_squared_steps_telescope_below_initial_distance():
     for runner, kwargs in ((run_map, {}), (run_alg1, {"policy": LastQ(2)})):
         r = runner(sets, x0, stop=StoppingRule(1e-10, 4000), **kwargs)
         assert r.converged
-        total = sum(d.steps for d in r.decompositions)
+        total = sum(d.steps for d in step_decompositions(r))
         assert total <= norm(x0 - member) ** 2 + 1e-6
