@@ -18,6 +18,7 @@ uses; LastQ(1) makes run_alg1 coincide with run_map.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -112,6 +113,8 @@ class CyclicSchedule:
 class StoppingRule:
     """Stop when every set residual is <= stop_tol, or at the first
     iteration boundary with at least max_iter projection sub-steps.
+    The set that a projection just put the iterate in is not checked but
+    counts as met, which matters only for a stop_tol below roundoff.
 
     An iteration is one sub-step under run_map, two under run_alg1 and
     three under run_alg2, whose starting lift counts as one more; so
@@ -149,10 +152,6 @@ class SolveResult:
     def points(self) -> List[np.ndarray]:
         """Full interleaved point sequence, starting point first."""
         return [self.x0] + [r.point for r in self.trace]
-
-
-def _set_residuals(sets: Sequence[AffineSet], x: np.ndarray) -> List[float]:
-    return [s.residual(x) for s in sets]
 
 
 def lift_start(x0, m1: AffineSet) -> np.ndarray:
@@ -198,22 +197,42 @@ def _record(index, phase, set_index, point, step):
                            point=point.copy())
 
 
+def _first_step(sets, l, x):
+    p = sets[l].project(x)
+    return p, norm(p - x)
+
+
+def _check(sets, x, l, skip, stop_tol):
+    """(met, _first_step(sets, l, x)), with that step as x's residual to set l
+    and set skip (None: none) not checked; ValueError names a non-finite one."""
+    ahead = _first_step(sets, l, x)
+    checked = [(l, ahead[1])] + [(j, s.residual(x)) for j, s in enumerate(sets)
+                                 if j not in (l, skip)]
+    for j, r in checked:
+        if not math.isfinite(r):
+            raise ValueError(f"set {j}: residual {r} is not finite")
+    return max(r for _, r in checked) <= stop_tol, ahead
+
+
 def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
            lift=None) -> SolveResult:
     """The iteration loop of the three drivers.
 
-    path(sets, l, x) gives one iteration's projections from x as
-    (phase, set index, point) triples; without support, their end is the
-    next iterate.  support(x, path, i, warnings) gives the recorded
-    hyperplane as a normal (None: the whole space) and a point on it,
-    and the window correction of the path's end is the next iterate; the
-    correction's window and coefficients are only stored, for diagnostics.
+    path(sets, l, p) gives the projections of an iteration from x, the
+    first being p = P_l(x), as (phase, set index, point) triples; without
+    support, their end is the next iterate.  support(x, path, i, warnings)
+    gives the recorded hyperplane as a normal (None: the whole space) and
+    a point on it, and the window correction of the path's end is the next
+    iterate; its window and coefficients are only stored, for diagnostics.
     lift is the set the start is first projected onto; the default
     schedule then skips it (set 0).
 
-    The stop rule reads only the next iterate's residuals, which are the
-    one check of an iteration; an iteration that raises InfeasibleSetError
-    records nothing.
+    Each main iterate is checked once, by _check, inside the iteration
+    that made it (one that raises InfeasibleSetError records nothing).
+    The check makes the next iteration's first projection and skips the
+    set a projection just put the iterate in, which counts as met.  A
+    corrected iterate stays in the lift set only in exact arithmetic, so
+    it is checked in full.  The last check's projection is dropped.
 
     The path's points are copied for the trace before the correction is
     made, and the point on the hyperplane lives until the next one is
@@ -228,37 +247,37 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
     trace, warnings, selected_history, coefficients = [], [], [], []
     i = substeps = 0
     reason = "max-iter"
-    x = start.copy()
+    x, ahead = start.copy(), None  # ahead: the next iteration's (p, step), from _check
     if lift is not None:
         substeps = 1
         try:
             lifted = lift_start(start, lift)
-            residuals = _set_residuals(sets, lifted)
+            met, ahead = _check(sets, lifted, schedule.index_at(0), 0, stop.stop_tol)
         except InfeasibleSetError as e:
             warnings.append(f"starting lift: {e}")
             reason = "infeasible"
         else:
             x = lifted
             trace.append(_record(0, "m1-projection", 0, x, norm(x - start)))
-            if max(residuals) <= stop.stop_tol:
+            if met:
                 reason = "residual-met"
     while reason == "max-iter" and substeps < stop.max_iter:
         l = schedule.index_at(i)
         noted = len(warnings)
         try:
-            steps = path(sets, l, x)
-            end, records = x, []
-            for phase, k, p in steps:
-                step, end = norm(p - end), p
-                records.append(_record(i + 1, phase, k, p, step))
-            xn = end
+            p, step = ahead or _first_step(sets, l, x)
+            steps = path(sets, l, p)
+            records = [_record(i + 1, *steps[0], step)]
+            records += [_record(i + 1, *b, norm(b[2] - a[2])) for a, b in zip(steps, steps[1:])]
+            xn = end = steps[-1][2]
             if support is not None:
                 normal, through = support(x, steps, i + 1, warnings)
                 h = (Hyperplane(np.zeros_like(x), 0.0) if normal is None
                      else Hyperplane(normal, inner(normal, through)))
                 cur = buffer.append(h, l)
                 xn, selected, lam = _correct(xn, buffer, cur, warnings)
-            residuals = _set_residuals(sets, xn)
+            met, ahead = _check(sets, xn, schedule.index_at(i + 1),
+                                l if support is None else None, stop.stop_tol)
         except InfeasibleSetError as e:
             del warnings[noted:]
             warnings.append(f"iteration {i + 1}: {e}")
@@ -273,7 +292,7 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
             selected_history.append([e.index for e in selected])
             coefficients.append(lam)
             trace.append(_record(i, "hyperplane-projection", None, x, norm(x - end)))
-        if max(residuals) <= stop.stop_tol:
+        if met:
             reason = "residual-met"
     return SolveResult(solution=x, iterations=i, trace=trace,
                        converged=reason == "residual-met", stop_reason=reason, x0=start,
@@ -283,15 +302,14 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
                        selected_history=selected_history, coefficients=coefficients)
 
 
-def _set_projection(sets, l, x):
-    return [("set-projection", l, sets[l].project(x))]
+def _set_projection(sets, l, p):
+    return [("set-projection", l, p)]
 
 
-def _composite_projection(sets, l, x):
+def _composite_projection(sets, l, p):
     if l == 0:
         raise ValueError("schedule for the accelerated-2 scheme must avoid set 0")
-    xp = sets[l].project(x)
-    return [("set-projection", l, xp), ("m1-projection", 0, sets[0].project(xp))]
+    return [("set-projection", l, p), ("m1-projection", 0, sets[0].project(p))]
 
 
 def _displacement_hyperplane(x, path, i, warnings):

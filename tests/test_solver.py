@@ -247,19 +247,31 @@ def test_degenerate_composite_step_is_skipped_with_note():
 @pytest.mark.parametrize("runner", [run_map, run_alg1, run_alg2])
 @pytest.mark.parametrize("m", [1, 2, 6])
 def test_one_residual_check_per_set_and_iteration(runner, m):
-    """The stop rule reads the residuals of the main iterate only: k checks
-    per iteration, plus k for alg2's starting lift."""
-    calls = []
+    """The stop check of a main iterate reads the next scheduled set off the
+    next iteration's first projection and skips the set a projection just
+    put the iterate in: k - 2 residual calls per iteration under map, k - 1
+    under alg1 and alg2, and k - 2 for alg2's lifted start, which lies in
+    set 0.  The last check's projection is the one projection not in the
+    trace."""
+    calls, projections = [], []
 
     class CountingSet(RowConstraintSet):
         def residual(self, x):
             calls.append(1)
             return super().residual(x)
 
+        def project(self, x):
+            projections.append(1)
+            return super().project(x)
+
     family, x0, _ = random_family(11)
     sets = [CountingSet(s.C, s.d) for s in family]
     r = runner(sets, x0, stop=StoppingRule(0.0, m))
-    assert len(calls) == len(sets) * (r.iterations + (runner is run_alg2))
+    k, i = len(sets), r.iterations
+    expected = {run_map: (k - 2) * i, run_alg1: (k - 1) * i, run_alg2: (k - 1) * i + k - 2}
+    assert len(calls) == expected[runner]
+    recorded = [rec for rec in r.trace if rec.phase in ("set-projection", "m1-projection")]
+    assert len(projections) == len(recorded) + 1
 
 
 @pytest.mark.parametrize("runner,kwargs", [
@@ -278,28 +290,28 @@ def test_infeasible_set_stops_before_anything_is_recorded(runner, kwargs, index)
 
 def test_failed_iteration_records_nothing():
     # x0 lies in sets 0 and 1, so alg2's first composite step is degenerate
-    # and notes it; the residual check of set 2 then fails, and the iteration
-    # leaves neither its hyperplane nor its note behind
-    checks = []
-
-    def failing_after_one_check(x):
-        checks.append(1)
-        if len(checks) > 1:
-            raise InfeasibleSetError("set 2 failed")
-        return abs(x[2])
-
-    def drop_third(x):
-        p = x.copy()
-        p[2] = 0.0
-        return p
+    # and notes it; the check of the corrected iterate then projects onto
+    # set 2, the next scheduled set, which fails, and the iteration leaves
+    # neither its hyperplane nor its note behind
+    def failing_projection(x):
+        raise InfeasibleSetError("set 2 failed")
 
     e = np.eye(3)
     sets = [RowConstraintSet(e[:1], [0.0]), RowConstraintSet(e[1:2], [0.0]),
-            CustomSet(3, drop_third, residual_fn=failing_after_one_check)]
+            CustomSet(3, failing_projection, residual_fn=lambda x: abs(x[2]))]
     r = run_alg2(sets, [0.0, 0.0, 1.0], policy=LastQ(2))
     assert r.stop_reason == "infeasible"
     assert r.warnings == ["iteration 1: set 2 failed"]
     assert (r.iterations, len(r.trace), r.generated, r.selected_history) == (0, 1, [], [])
+
+
+@pytest.mark.parametrize("runner", [run_map, run_alg1, run_alg2])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_non_finite_residual_raises_at_every_position(runner, index):
+    sets, x0, _ = random_family(3, dim=4, k=3, codim=1)
+    sets[index] = CustomSet(4, sets[index].project, residual_fn=lambda x: float("nan"))
+    with pytest.raises(ValueError, match=f"set {index}: residual nan"):
+        runner(sets, x0, stop=StoppingRule(1e-10, 300))
 
 
 @pytest.mark.parametrize("index", [0, 1, 3])
@@ -537,3 +549,50 @@ def test_squared_steps_telescope_below_initial_distance():
         assert r.converged
         total = sum(d.steps for d in step_decompositions(r))
         assert total <= norm(x0 - member) ** 2 + 1e-6
+
+
+@st.composite
+def stop_test_families(draw):
+    """Gaussian row families, the same with rows scaled by 1e-6 or 1e6, and
+    a pair of hyperplanes at an angle of at most 0.3 rad."""
+    kind = draw(st.sampled_from(["gaussian", "scaled", "parallel"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(3, 10))
+    if kind == "parallel":
+        a, u = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
+        angle = draw(st.floats(1e-3, 0.3))
+        rows = [a[None], (np.cos(angle) * a + np.sin(angle) * u)[None]]
+    else:
+        k = draw(st.integers(2, 4))
+        rows = [rng.standard_normal((draw(st.integers(1, 2)), dim)) for _ in range(k)]
+        if kind == "scaled":
+            rows = [C * 10.0 ** rng.choice([-6.0, 6.0], size=(len(C), 1)) for C in rows]
+    z = rng.standard_normal(dim)
+    return [RowConstraintSet(C, C @ z) for C in rows], rng.standard_normal(dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stop_test_families())
+def test_stop_is_neither_early_nor_late(family):
+    """Full residual checks on the trace's main iterates: a converged run's
+    solution meets stop_tol and every earlier main iterate misses it, and a
+    budget that ends on the converged iterate still reports residual-met."""
+    sets, x0 = family
+    tol = 1e-8
+    for runner, kwargs, per_iteration, lift in [
+            (run_map, {}, 1, 0),
+            (run_alg1, {"policy": LastQ(3)}, 2, 0), (run_alg1, {"policy": All()}, 2, 0),
+            (run_alg2, {"policy": LastQ(3)}, 3, 1), (run_alg2, {"policy": All()}, 3, 1)]:
+        r = runner(sets, x0, stop=StoppingRule(tol, 3000), **kwargs)
+        mains = [rec.point for rec in r.trace
+                 if runner is run_map or rec.phase == "hyperplane-projection" or rec.index == 0]
+        assert len(mains) == r.iterations + lift
+        worst = [max(s.residual(x) for s in sets) for x in mains]
+        assert all(w > tol * (1 - 1e-6) for w in worst[:-1])
+        if r.converged:
+            assert worst[-1] <= tol * (1 + 1e-6)
+            budget = StoppingRule(tol, per_iteration * r.iterations + lift)
+            again = runner(sets, x0, stop=budget, **kwargs)
+            assert (again.stop_reason, again.iterations) == ("residual-met", r.iterations)
+        else:
+            assert worst[-1] > tol * (1 - 1e-6)
