@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import (RCOND, TOL_FEAS, as_matrix, as_point, gram_solve, norm,
+from .linalg import (RCOND, TOL_FEAS, GramFactor, as_matrix, as_point, gram_solve, norm,
                      unit_row_gram)
 # This module does not call lstsq_min_norm, but perfbench/spans.py wraps
 # affproj.sets.lstsq_min_norm for its per-layer split, so the name stays here.
@@ -81,24 +81,27 @@ def project_row_constraint(x, C, d) -> np.ndarray:
     return RowConstraintSet(C, d).project(x)
 
 
-def _intersection_step(x: np.ndarray, hyperplanes: Sequence[Hyperplane]):
-    """Project onto the intersection of hyperplanes.
+def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: GramFactor):
+    """Project x onto {y : <a_j, y> = b_j for j in rows}, the rows of A
+    (normals) and b (offsets) listed by rows, given the GramFactor of those
+    rows in that order.
 
-    Returns (projected point, coefficients), one coefficient lam_j per
-    nonzero-normal hyperplane in order, so callers can attribute the
-    correction sum(lam_j * a_j) term by term.
+    Three mat-vecs over A (the residual b - A x, the correction A^T lam and
+    the feasibility check) and one factor solve, which goes through
+    gram_solve.  Returns (projected point, coefficients), one lam_j per
+    listed row, so callers can attribute the correction sum(lam_j * a_j)
+    term by term.  Raises InfeasibleIntersectionError when a listed row is
+    missed by more than TOL_FEAS * max(1, max |b_j|).
     """
-    kept = [j for j, h in enumerate(hyperplanes) if not h.is_whole_space()]
-    if not kept:
+    if not len(rows):
         return x.copy(), np.zeros(0)
-    A = np.vstack([hyperplanes[j].normal for j in kept])
-    b = np.array([hyperplanes[j].offset for j in kept])
-    # one dot per row, not A @ x, which may sum in another order: lam depends on these bits
-    resid = b - np.array([np.dot(hyperplanes[j].normal, x) for j in kept])
-    lam = gram_solve(A, resid)
-    p = x + A.T @ lam
-    worst = np.max(np.abs(b - A @ p))  # only decides whether to raise
-    if worst > TOL_FEAS * max(1.0, np.max(np.abs(b))):
+    lam = gram_solve(factor, (b - A @ x)[rows])
+    weights = np.zeros(A.shape[0])
+    weights[rows] = lam
+    p = A.T @ weights
+    p += x
+    worst = np.abs((b - A @ p)[rows]).max()
+    if worst > TOL_FEAS * max(1.0, np.abs(b[rows]).max()):
         raise InfeasibleIntersectionError(
             f"hyperplane family is inconsistent (residual {worst:.3e})")
     return p, lam
@@ -108,14 +111,19 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
     """Exact projection onto the intersection of a hyperplane family.
 
     Zero-normal (whole space) members are skipped.  The correction is
-    sum(lam_j * a_j) with lam from the min-norm Gram solve, so redundant
-    families behave like their independent subfamily.
+    sum(lam_j * a_j) with lam from a GramFactor of the family, so a
+    redundant family behaves like its independent subfamily.
     """
     x = as_point(x)
     for h in hyperplanes:
         if h.dim != x.shape[0]:
             raise ValueError("hyperplane dimension mismatch")
-    return _intersection_step(x, hyperplanes)[0]
+    kept = [h for h in hyperplanes if not h.is_whole_space()]
+    if not kept:
+        return x.copy()
+    A = np.vstack([h.normal for h in kept])
+    b = np.array([h.offset for h in kept])
+    return _window_step(x, A, b, np.arange(len(kept)), GramFactor.of(A @ A.T))[0]
 
 
 class AffineSet:

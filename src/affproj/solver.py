@@ -27,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .diagnostics import IterationRecord
-from .linalg import TOL_LIN, as_point, inner, norm
+from .linalg import TOL_LIN, GramFactor, as_point, inner, norm
 from .sets import (AffineSet, Hyperplane, InfeasibleIntersectionError,
-                   InfeasibleSetError, _intersection_step)
+                   InfeasibleSetError, _window_step)
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,60 @@ class BufferEntry:
 class HyperplaneBuffer:
     """Ordered store of generated hyperplanes plus the window policy.
 
-    live lists the indices of the entries that are not the whole space, in
-    generation order, so that a selection is a slice of it.
+    entries holds every generated hyperplane; live lists the indices of
+    those that are not the whole space, in generation order, so that a
+    selection is a slice of it.
+
+    The live normals and offsets are also copied into the rows of one
+    array: a ring of q rows under LastQ(q) (live entry j in row j % q), and
+    under All() an array whose capacity doubles when full.  Each live
+    hyperplane adds its row and column of the Gram matrix of the stored
+    rows with one mat-vec over them, O(q n).  Under LastQ the ring's q x q
+    Gram matrix is kept, and each correction factors its window's block
+    afresh with one LAPACK call.  Under All() every window is the previous
+    one plus at most one row, so the new Gram column goes straight into the
+    window's GramFactor, O(q^2), which is never refactored; the Gram matrix
+    itself is not kept, because it would grow as the square of the window
+    (a fallback recomputes the block it needs from the rows).
     """
 
     def __init__(self, policy: WindowPolicy):
         self.policy = policy
         self.entries: List[BufferEntry] = []
         self.live: List[int] = []
+        self.ring = policy.q if isinstance(policy, LastQ) else None
+        self.normals = self.offsets = self.gram = None  # allocated by the first live entry
+        self.factor = None if self.ring else GramFactor()
 
     def append(self, h: Hyperplane, set_index: int) -> int:
         idx = len(self.entries)
         self.entries.append(BufferEntry(idx, set_index, h))
         if not h.is_whole_space():
+            self._store(h)
             self.live.append(idx)
         return idx
+
+    def _store(self, h: Hyperplane) -> None:
+        m = len(self.live)
+        if self.normals is None:
+            cap = self.ring or 8
+            self.normals = np.zeros((cap, h.dim))
+            self.offsets = np.zeros(cap)
+            if self.ring:
+                self.gram = np.zeros((cap, cap))
+        elif m == len(self.normals) and not self.ring:
+            self.normals = np.concatenate([self.normals, np.zeros_like(self.normals)])
+            self.offsets = np.concatenate([self.offsets, np.zeros_like(self.offsets)])
+        row = m % self.ring if self.ring else m
+        filled = min(m + 1, len(self.normals))
+        self.normals[row] = h.normal
+        self.offsets[row] = h.offset
+        g = self.normals[:filled] @ h.normal
+        if self.ring:
+            self.gram[row, :filled] = g
+            self.gram[:filled, row] = g
+        else:
+            self.factor.append(g)
 
     def select(self, current: int) -> List[BufferEntry]:
         """Entries for the correction at generation index `current`.
@@ -87,12 +126,31 @@ class HyperplaneBuffer:
         The live entries generated before `current` (the newest q - 1 under
         LastQ, all of them otherwise), in generation order, then `current`
         itself.  Repeated normals are kept: they make the window's Gram
-        matrix singular, which the min-norm Gram solve handles.  A selection
-        is a slice of live, so it costs O(window).
+        matrix singular, and the GramFactor leaves the repeats out.  A
+        selection is a slice of live, so it costs O(window).
         """
         older = bisect_left(self.live, current)
         first = max(0, older - self.policy.q + 1) if isinstance(self.policy, LastQ) else 0
         return [self.entries[j] for j in self.live[first:older]] + [self.entries[current]]
+
+    def window(self, current: int):
+        """(normals, offsets, rows, factor) for the correction at the newest
+        entry `current`: the stored rows, the indices of the live entries of
+        select(current) among them in generation order, and the GramFactor
+        of those rows."""
+        n = len(self.live)
+        if not n:
+            return None, None, np.arange(0), GramFactor()
+        if not self.ring:
+            return self.normals[:n], self.offsets[:n], np.arange(n), self.factor
+        current_live = self.live[-1] == current
+        return self.block(np.arange(n - min(n, self.ring - 1 + current_live), n) % self.ring)
+
+    def block(self, rows):
+        """window's tuple for the given stored rows, factored afresh."""
+        A = self.normals[:min(len(self.live), len(self.normals))]
+        G = self.gram.take(rows, 0).take(rows, 1) if self.ring else A[rows] @ A[rows].T
+        return A, self.offsets[:len(A)], rows, GramFactor.of(G)
 
 
 @dataclass
@@ -167,20 +225,26 @@ def _correct(x: np.ndarray, buffer: HyperplaneBuffer, current: int,
              warnings: List[str]):
     """Hyperplane-window correction with the degeneracy fallback.
 
-    Exact arithmetic guarantees the selected family is consistent; on a
-    numerical infeasibility report, drop the older half of the window
+    Projects x onto the intersection of the window of the newest entry
+    `current` through the buffer's stored rows and Gram factor: O(q n) for
+    the three mat-vecs of sets._window_step, plus O(q^2) under All() and
+    one q x q factorization under LastQ.  Exact arithmetic guarantees the
+    selected family is consistent; on a numerical infeasibility report,
+    drop the older half of the window (its newer half is factored afresh)
     and retry once, then fall back to no correction at all.
 
     Returns (corrected point, selected entries, coefficients); see
     SolveResult.coefficients.
     """
     selected = buffer.select(current)
+    A, b, rows, factor = buffer.window(current)
     try:
-        p, lam = _intersection_step(x, [e.h for e in selected])
+        p, lam = _window_step(x, A, b, rows, factor)
     except InfeasibleIntersectionError:
         selected = selected[len(selected) // 2:]
+        rows = rows[len(rows) - sum(not e.h.is_whole_space() for e in selected):]
         try:
-            p, lam = _intersection_step(x, [e.h for e in selected])
+            p, lam = _window_step(x, *buffer.block(rows))
             warnings.append(f"correction {current}: dropped oldest hyperplanes after "
                             "an inconsistent intersection")
         except InfeasibleIntersectionError:

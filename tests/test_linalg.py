@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affproj.linalg import as_point, gram_solve, inner, lstsq_min_norm, norm
+from affproj.linalg import GramFactor, as_point, gram_solve, inner, lstsq_min_norm, norm
 
 
 def test_inner_orthogonal_vectors():
@@ -132,6 +132,63 @@ def test_gram_full_rank_matches_direct_solve():
     A = np.vstack(vecs)
     direct = np.linalg.solve(A @ A.T, rhs)
     np.testing.assert_allclose(lam, direct, rtol=1e-10, atol=1e-12)
+
+
+def factor_by_rows(G):
+    f = GramFactor()
+    for j in range(len(G)):
+        f.append(G[j, :j + 1])
+    return f
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_gram_factor_of_a_whole_gram_equals_the_one_grown_row_by_row(repeat):
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 9))
+    if repeat:
+        A[3] = A[1]  # a zero pivot: GramFactor.of takes the row-by-row path
+    G = A @ A.T
+    whole, grown = GramFactor.of(G), factor_by_rows(G)
+    assert whole.rank == grown.rank == 5 - repeat
+    np.testing.assert_array_equal(whole.kept[:whole.rank], grown.kept[:grown.rank])
+    r = whole.rank
+    np.testing.assert_allclose(np.tril(whole.L[:r, :r]), grown.L[:r, :r], rtol=1e-12)
+
+
+def test_gram_factor_solve_matches_the_min_norm_solve():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((4, 9))
+    rhs = rng.standard_normal(4)
+    np.testing.assert_allclose(gram_solve(GramFactor.of(A @ A.T), rhs), gram_solve(A, rhs),
+                               rtol=1e-10, atol=1e-12)
+    # a repeated row stays out; the correction sum_j lam_j a_j is unchanged
+    B = np.vstack([A, A[2]])
+    rhs_b = np.append(rhs, rhs[2])
+    lam = gram_solve(GramFactor.of(B @ B.T), rhs_b)
+    assert lam[4] == 0.0
+    np.testing.assert_allclose(B.T @ lam, B.T @ gram_solve(B, rhs_b), rtol=1e-10, atol=1e-12)
+
+
+def test_gram_factor_rank_rule_judges_each_row_against_the_rows_before_it():
+    """A row leaves the factor when its pivot is <= RCOND times the largest
+    Gram diagonal entry so far: a nearly parallel copy (pivot 1e-14) and a
+    row 1e-7 times the length of an earlier one stay out, a pivot of 1e-10
+    stays in, and an earlier short row stays in next to a later long one."""
+    e = np.eye(4)
+    rows = [e[0], e[0] + 1e-7 * e[1], e[0] + 1e-5 * e[1], 1e-7 * e[2], 1e9 * e[3]]
+    A = np.vstack(rows)
+    f = factor_by_rows(A @ A.T)
+    assert f.rank == 3
+    assert list(f.kept[:3]) == [0, 2, 4]
+    short_first = np.vstack([e[0], 1e9 * e[1]])
+    assert GramFactor.of(short_first @ short_first.T).rank == 2
+
+
+def test_gram_solve_rejects_a_factor_of_another_size():
+    with pytest.raises(ValueError):
+        gram_solve(GramFactor.of(np.eye(3)), [1.0, 2.0])
+    with pytest.raises(ValueError):
+        GramFactor().append(np.ones(2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,14 +2,15 @@ from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affproj.diagnostics import check_fejer, step_decompositions
-from affproj.linalg import inner, norm
+from affproj.linalg import TOL_FEAS, GramFactor, gram_solve, inner, norm
 from affproj.oracle import direct_projection, stack
-from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleSetError,
-                          RowConstraintSet, project_hyperplane_intersection)
+from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleIntersectionError,
+                          InfeasibleSetError, RowConstraintSet,
+                          project_hyperplane_intersection)
 from affproj.solver import (All, ConditionB, CyclicSchedule, HyperplaneBuffer,
                             LastQ, StoppingRule, _correct, lift_start,
                             run_alg1, run_alg2, run_map)
@@ -505,6 +506,192 @@ def test_unresolvable_window_falls_back_to_unmoved_point():
     assert any("fell back" in w for w in warnings)
     np.testing.assert_array_equal(p, x)
     assert lam.size == 0
+
+
+# -- the stored-factor correction against the stacked reference ------------
+
+def stacked_intersection_step(x, hyperplanes):
+    """The former sets._intersection_step, kept as the reference: the window
+    stacked afresh at every correction and solved by the min-norm Gram solve."""
+    kept = [h for h in hyperplanes if not h.is_whole_space()]
+    if not kept:
+        return x.copy(), np.zeros(0)
+    A = np.vstack([h.normal for h in kept])
+    b = np.array([h.offset for h in kept])
+    resid = b - np.array([np.dot(h.normal, x) for h in kept])
+    lam = gram_solve(A, resid)
+    p = x + A.T @ lam
+    worst = np.max(np.abs(b - A @ p))
+    if worst > TOL_FEAS * max(1.0, np.max(np.abs(b))):
+        raise InfeasibleIntersectionError(
+            f"hyperplane family is inconsistent (residual {worst:.3e})")
+    return p, lam
+
+
+def stacked_correct(x, buffer, current, warnings):
+    """The former solver._correct, over stacked_intersection_step."""
+    selected = buffer.select(current)
+    try:
+        p, lam = stacked_intersection_step(x, [e.h for e in selected])
+    except InfeasibleIntersectionError:
+        selected = selected[len(selected) // 2:]
+        try:
+            p, lam = stacked_intersection_step(x, [e.h for e in selected])
+            warnings.append(f"correction {current}: dropped oldest hyperplanes after "
+                            "an inconsistent intersection")
+        except InfeasibleIntersectionError:
+            warnings.append(f"correction {current}: intersection still inconsistent, "
+                            "fell back to the uncorrected iterate")
+            return x.copy(), selected, np.zeros(0)
+    return p, selected, lam
+
+
+def assert_matches_stacked_reference(x, buf, cur):
+    """_correct against stacked_correct on the same buffer: the points agree
+    within 1e-9 max(1, ||x||), the fallback warnings and windows are equal,
+    and sum_j lam_j a_j over the returned coefficients is the correction."""
+    ours, ref = [], []
+    p, selected, lam = _correct(x, buf, cur, ours)
+    q, ref_selected, _ = stacked_correct(x, buf, cur, ref)
+    tol = 1e-9 * max(1.0, norm(x))
+    assert norm(p - q) <= tol
+    assert ours == ref
+    assert [e.index for e in selected] == [e.index for e in ref_selected]
+    normals = [e.h.normal for e in selected if not e.h.is_whole_space()]
+    assert lam.shape == ((len(normals),) if lam.size else (0,))
+    assert norm(x + sum((l * a for l, a in zip(lam, normals)), np.zeros_like(x)) - p) <= tol
+
+
+WINDOW_KINDS = ("fresh", "whole", "repeat", "near")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(LastQ, st.integers(1, 6)), st.just(All())),
+       st.sampled_from([3, 8, 40]),
+       st.lists(st.sampled_from(WINDOW_KINDS), min_size=1, max_size=24),
+       st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0), st.sampled_from([1e-3, 1.0]))
+@example(LastQ(3), 8, ["fresh"] * 10, 0, 0.0, 1.0)   # the ring wraps around
+@example(All(), 40, ["fresh"] * 12, 1, 0.0, 1.0)     # the row store doubles past 8 rows
+@example(LastQ(4), 8, ["fresh", "fresh", "whole", "fresh", "whole"], 2, 0.0, 1.0)
+def test_stored_factor_correction_matches_stacked_reference(policy, dim, kinds, seed, length,
+                                                            scale):
+    """Every hyperplane passes through one point z, and the buffer is
+    corrected after each append, from a point at distance about `scale` from
+    z.  Kinds: a fresh Gaussian normal, the whole space, an exact repeat of
+    an earlier normal, and an earlier normal turned by 1e-7 rad.  All
+    normals of a case are scaled by 10^length, so lengths span 1e+-10.
+
+    Where the rank rules differ, the points differ too, so two cases are
+    left to their own tests.  Normals of very different lengths in one
+    window: test_factor_keeps_a_short_row_that_a_later_long_row_would_cut.
+    Two normals 1e-7 rad apart fall below the RCOND cut, and the min-norm
+    solve splits the residual between them where the factor keeps the older
+    one; the points then differ by about 1e-7 times the residual.  Such
+    pairs come from the short steps late in a run, so windows holding one
+    are corrected from within 1e-3 / max(1, 10^length) of z here, where the
+    residuals stay below 1e-9.  At distance 1 from unit normals the points
+    differ by up to 1.5e-9, and the factor's feasibility check fires at
+    about half the distance that the reference's does.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(dim)
+    buf, live = HyperplaneBuffer(policy), []
+    for kind in kinds:
+        if kind == "whole":
+            a = np.zeros(dim)
+        elif kind == "fresh" or not live:
+            a = rng.standard_normal(dim) * 10.0 ** length
+        elif kind == "repeat":
+            a = live[rng.integers(len(live))].copy()
+        else:
+            a = live[rng.integers(len(live))]
+            u = rng.standard_normal(dim)
+            u -= (u @ a) / (a @ a) * a
+            a = np.cos(1e-7) * a + np.sin(1e-7) * norm(a) / norm(u) * u
+        if np.any(a):
+            live.append(a)
+        cur = buf.append(Hyperplane(a, a @ z), 0)
+        near = 1e-3 / max(1.0, 10.0 ** length)
+        x = z + (near if "near" in kinds else scale) * rng.standard_normal(dim)
+        assert_matches_stacked_reference(x, buf, cur)
+
+
+@pytest.mark.parametrize("policy", [All(), LastQ(4)])
+@pytest.mark.parametrize("rows,warning", [
+    # parallel, incompatible pair, then a fresh normal: the newer half is consistent
+    ([([1.0, 0.0, 0.0], 0.0), ([2.0, 0.0, 0.0], 1.0), ([0.0, 1.0, 0.0], 0.0)], "dropped oldest"),
+    # the same pair, then a fresh normal and a whole-space current entry
+    ([([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
+      ([0.0, 0.0, 0.0], 0.0)], "dropped oldest"),
+    # two incompatible pairs, one in each half
+    ([([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
+      ([2.0, 0.0, 0.0], 1.0)], "fell back"),
+])
+def test_fallbacks_match_stacked_reference(policy, rows, warning):
+    buf = HyperplaneBuffer(policy)
+    for a, b in rows:
+        cur = buf.append(Hyperplane(a, b), 0)
+    warnings = []
+    _correct(np.array([5.0, 5.0, 5.0]), buf, cur, warnings)
+    assert len(warnings) == 1 and warning in warnings[0]
+    assert_matches_stacked_reference(np.array([5.0, 5.0, 5.0]), buf, cur)
+
+
+def test_factor_keeps_a_short_row_that_a_later_long_row_would_cut():
+    """A unit normal, then one 1e9 times longer: the min-norm solve cuts the
+    first (its Gram eigenvalue is below RCOND times the largest) and misses
+    its hyperplane by 0.6, which the long row's offset hides from the
+    feasibility check.  The factor, judging each row against the rows
+    before it, keeps both and lands on the exact projection."""
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(3)
+    a1, a2 = rng.standard_normal(3), 1e9 * rng.standard_normal(3)
+    buf = HyperplaneBuffer(All())
+    buf.append(Hyperplane(a1, a1 @ z), 0)
+    cur = buf.append(Hyperplane(a2, a2 @ z), 1)
+    x = z + rng.standard_normal(3)
+    warnings = []
+    p = _correct(x, buf, cur, warnings)[0]
+    q = stacked_correct(x, buf, cur, [])[0]
+    exact = direct_projection(x, stack([HyperplaneSet(e.h) for e in buf.entries]))
+    assert not warnings and buf.factor.rank == 2
+    assert norm(p - exact) <= 1e-9 * norm(x)
+    assert abs(a1 @ q - a1 @ z) > 0.1
+
+
+@pytest.mark.parametrize("iterations", [50, 200])
+def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch, iterations):
+    """alg1 All() at stop_tol 0 on three one-row sets in dim 4 sits at its
+    fixed point for most of the run.  Each live hyperplane gets one Gram
+    row, each correction grows the factor by at most one row, and nothing
+    is factored afresh."""
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(4)
+    sets = []
+    for _ in range(3):
+        C = rng.standard_normal((1, 4))
+        sets.append(RowConstraintSet(C, C @ z))
+    x0 = rng.standard_normal(4)
+    rows, ranks, refactors = [], [], []
+    append, of = GramFactor.append, GramFactor.of.__func__
+
+    def counted_append(self, g):
+        rows.append(g.shape[0])
+        append(self, g)
+        ranks.append(self.rank)
+
+    def counted_of(cls, G):
+        refactors.append(G.shape[0])
+        return of(cls, G)
+
+    monkeypatch.setattr(GramFactor, "append", counted_append)
+    monkeypatch.setattr(GramFactor, "of", classmethod(counted_of))
+    r = run_alg1(sets, x0, policy=All(), stop=StoppingRule(0.0, 2 * iterations))
+    live = sum(not h.is_whole_space() for _, h in r.generated)
+    assert r.iterations == iterations and not r.warnings
+    assert rows == list(range(1, live + 1))
+    assert all(b - a in (0, 1) for a, b in zip([0] + ranks, ranks)) and ranks[-1] <= 4
+    assert refactors == []
 
 
 # -- shared convergence certificates ----------------------------------------
