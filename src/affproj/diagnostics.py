@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import as_point, inner, lstsq_min_norm, norm
+from .linalg import SpanBasis, as_point, norm
 
 
 @dataclass
@@ -73,9 +73,15 @@ def check_fejer(points: Sequence[np.ndarray], m) -> float:
 
 
 def count_fejer_violations(points: Sequence[np.ndarray], m, tol: float = 1e-9):
-    """(number of consecutive pairs with increase > tol, worst margin)."""
+    """(number of consecutive pairs with increase > tol, worst margin).
+
+    Raises ValueError when m and a point differ in dimension."""
     m = as_point(m)
     pts = list(points)
+    for p in pts:
+        if np.shape(p) != m.shape:
+            raise ValueError(f"member has dimension {m.shape[0]}, "
+                             f"points have dimension {np.shape(p)[0]}")
     if len(pts) < 2:
         return 0, 0.0
     dists = [norm(np.asarray(p) - m) for p in pts]
@@ -86,37 +92,61 @@ def count_fejer_violations(points: Sequence[np.ndarray], m, tol: float = 1e-9):
 def check_condition_b(x0, x_i, normals: Sequence[np.ndarray]) -> float:
     """Distance of x0 - x_i from the span of the given normals.
 
-    Computed as the least-squares residual of expressing x0 - x_i in
-    the normal family; zero (to roundoff) certifies the span condition
-    at this iteration.
+    Zero normals are ignored; the others go into one SpanBasis (see
+    linalg.SpanBasis for its rank rule), the same routine condition_report
+    extends window by window.  Zero (to roundoff) certifies the span
+    condition at this iteration.  Raises ValueError when x_i or a normal
+    differs from x0 in dimension.
     """
-    v = as_point(x0) - as_point(x_i)
+    x0, x_i = as_point(x0), as_point(x_i)
+    dim = x0.shape[0]
+    if x_i.shape[0] != dim:
+        raise ValueError(f"x0 has dimension {dim}, x_i has dimension {x_i.shape[0]}")
     normals = [np.asarray(a, dtype=float).reshape(-1) for a in normals]
+    for a in normals:
+        if a.shape[0] != dim:
+            raise ValueError(f"x0 has dimension {dim}, a normal has dimension {a.shape[0]}")
     normals = [a for a in normals if np.any(a)]
-    return _span_residual(v, np.reshape(normals, (len(normals), v.shape[0])))
+    basis = SpanBasis(dim, len(normals))
+    basis.extend(normals)
+    return basis.residual(x0 - x_i)
 
 
-def _span_residual(v: np.ndarray, normals: np.ndarray) -> float:
-    """Distance of v from the span of the rows of normals."""
-    if not normals.shape[0]:
-        return norm(v)
-    A = normals.T  # columns span the candidate subspace
-    coef = lstsq_min_norm(A, v)
-    return norm(v - A @ coef)
+def _span_start(result) -> np.ndarray:
+    """The point the span condition is measured from: x0, or under run_alg2
+    the lifted start (its m1-projection record), where its iterations begin."""
+    lifted = result.trace and result.trace[0].phase == "m1-projection"
+    return result.trace[0].point if lifted else as_point(result.x0)
 
 
 def _corrections(result):
-    """For each correction of an accelerated run: the stacked normals of
-    its window's nonzero-normal entries, in window order, and its
-    StepDecomposition under run_alg1 (None under run_alg2)."""
+    """For each correction of an accelerated run: a SpanBasis whose rows are
+    its window's nonzero normals, in window order, and its StepDecomposition
+    under run_alg1 (None under run_alg2).
+
+    One basis serves the whole pass and is reused, so read it before taking
+    the next correction.  A window whose nonzero entries extend the previous
+    window's (every window under All() without fallbacks) adds only its new
+    rows.  Any other window (under LastQ, or after a fallback dropped the
+    older half) resets the basis and adds all of its rows.
+    """
+    history, generated = result.selected_history, result.generated
+    if not history:
+        return
     dim = result.x0.shape[0]
-    for i, selected in enumerate(result.selected_history):
-        live = [result.generated[j] for j in selected]
-        live = [(k, h.normal) for k, h in live if not h.is_whole_space()]
-        normals = np.reshape([a for _, a in live], (len(live), dim))
-        alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
-        yield normals, (_alg1_decomposition(result, i, [k for k, _ in live], normals)
-                        if alg1 else None)
+    live = [not h.is_whole_space() for _, h in generated]
+    basis = SpanBasis(dim, max(len(selected) for selected in history))
+    alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
+    keys = []
+    for i, selected in enumerate(history):
+        window = [j for j in selected if live[j]]
+        if window[:len(keys)] != keys:
+            basis.reset()
+            keys = []
+        basis.extend([generated[j][1].normal for j in window[len(keys):]])
+        keys = window
+        yield basis, (_alg1_decomposition(result, i, [generated[j][0] for j in window],
+                                          basis.rows[:basis.size]) if alg1 else None)
 
 
 def _alg1_decomposition(result, i: int, set_indices, normals) -> StepDecomposition:
@@ -177,20 +207,25 @@ def condition_report(result, m: Optional[np.ndarray] = None,
 
     m is a certified member of the intersection; when omitted the
     Fejer fields are reported as zero-length (0 violations, 0 margin).
+    Raises ValueError when m and the run differ in dimension.
+
     Condition-B residuals need the run to have recorded hyperplanes
     (the accelerated schemes); for plain alternating projections the
-    series is empty.  One pass over the corrections stacks each window
-    once, for its span residual and, under run_alg1, its decomposition.
+    series is empty.  Each is the distance of start - x_i from the span of
+    its window's normals, where start is x0 under run_alg1 and the lifted
+    start under run_alg2, whose iterations begin there.  One pass keeps one
+    SpanBasis (see _corrections): a correction costs O(n rank) under All()
+    and O(q^2 n) under LastQ(q), in dimension n.
     """
     if m is not None:
         viol, worst = count_fejer_violations(result.points(), m, tol=fejer_tol)
     else:
         viol, worst = 0, 0.0
-    x0 = as_point(result.x0)
+    start = _span_start(result)
     main_points = [r.point for r in result.trace if r.phase == "hyperplane-projection"]
     cond_b, decomps = [], [] if result.selected_history else step_decompositions(result)
-    for point, (normals, d) in zip(main_points, _corrections(result)):
-        cond_b.append(_span_residual(x0 - point, normals))
+    for point, (basis, d) in zip(main_points, _corrections(result)):
+        cond_b.append(basis.residual(start - point))
         if d is not None:
             decomps.append(d)
     return ConditionReport(

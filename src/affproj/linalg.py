@@ -7,6 +7,8 @@ row-major, so the flattened dot product is the Frobenius inner product.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -169,6 +171,70 @@ class GramFactor:
             kept = self.kept[:r]
             lam[kept] = lapack.dpotrs(self.L[:r, :r], rhs[kept], lower=1)[0]
         return lam
+
+
+class SpanBasis:
+    """An orthonormal basis Q of the span of a family of rows that grows.
+
+    rows[:size] are the rows added since the last reset, in order, and the
+    rows of Q[:rank] are an orthonormal basis of their span.  extend
+    orthogonalises its new rows against Q twice (classical Gram-Schmidt,
+    CGS2) and factors what is left with one pivoted QR (LAPACK dgeqp3, then
+    dorgqr for its Q factor).  It keeps the leading columns whose |R_jj| is
+    above RCOND times the longest row so far, which mirrors the
+    RCOND * sigma_max cut of lstsq_min_norm on the stacked rows: sigma_max
+    lies between the longest row and sqrt(size) times it.  Like GramFactor,
+    it judges a row against the rows before it, so a row that comes after
+    nearly dependent ones can keep a direction that the SVD of the whole
+    stack would cut.  A kept direction is never refactored, so k new rows
+    in dimension n cost O(k n rank) for the projections plus O(k^2 n) for
+    their QR, whatever the rows before.
+
+    SpanBasis(dim, capacity) holds at most capacity rows between resets.
+    """
+
+    def __init__(self, dim: int, capacity: int):
+        self.rows = np.empty((capacity, dim))
+        self.Q = np.empty((capacity, dim))  # rows past rank: the QR's workspace
+        self.size = self.rank = 0
+        self.top = 0.0  # longest row since the last reset
+
+    def reset(self) -> None:
+        """Forget every row."""
+        self.size = self.rank = 0
+        self.top = 0.0
+
+    def extend(self, new_rows: Sequence[np.ndarray]) -> None:
+        """Add the k rows new_rows, each of length dim."""
+        k, s, r = len(new_rows), self.size, self.rank
+        if s + k > self.rows.shape[0]:
+            raise ValueError(f"{s + k} rows exceed the capacity of {self.rows.shape[0]}")
+        if not k:
+            return
+        for j, a in enumerate(new_rows):
+            self.rows[s + j] = a
+        self.size += k
+        added = self.rows[s:s + k]
+        self.top = max(self.top, float(np.sqrt(np.max(np.einsum("ij,ij->i", added, added)))))
+        # W is a contiguous block of Q, factored in place: dorgqr leaves the
+        # new directions in Q[r:r + keep]
+        W = self.Q[r:r + k]
+        W[...] = added
+        if r:
+            Q = self.Q[:r]
+            for _ in range(2):
+                W -= (W @ Q.T) @ Q
+        qr, _, tau, _, _ = lapack.dgeqp3(W.T, overwrite_a=1)
+        small = np.flatnonzero(np.abs(qr.diagonal()) <= RCOND * self.top)
+        keep = int(small[0]) if small.size else tau.shape[0]
+        if keep:
+            lapack.dorgqr(qr[:, :keep], tau[:keep], overwrite_a=1)
+            self.rank += keep
+
+    def residual(self, v) -> float:
+        """Distance of v from the span of the rows: ||v - Q^T (Q v)||."""
+        Q = self.Q[:self.rank]
+        return norm(v - (Q @ v) @ Q)
 
 
 def gram_solve(vectors, rhs) -> np.ndarray:

@@ -124,6 +124,18 @@ def test_verify_reports_ok(capsys):
     assert "status: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alg", ["alg1", "alg2"])
+def test_verify_certifies_the_full_window(capsys, alg):
+    """alg2's span condition is measured from its lifted start: from x0 its
+    worst residual would be ||x0 - lift||, and verify would fail."""
+    rc = main(["verify", "--random", "dim=40,k=4,seed=97,codims=4:4:4:4", "--alg", alg,
+               "--policy", "all"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "status: ok" in out
+    worst = float(out.split("span-condition residual: worst ")[1].split()[0])
+    assert worst <= 1e-8
+
+
 def test_verify_map_on_experiment(capsys):
     rc = main(["verify", "--experiment", "1", "--alg", "map"])
     assert rc == 0

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from affproj import linalg
 from affproj.diagnostics import (StepDecomposition, check_b_prime, check_condition_b,
                                  check_fejer, condition_report, count_fejer_violations,
                                  running_sum_of_squares, step_decompositions)
-from affproj.linalg import norm
+from affproj.linalg import RCOND, lstsq_min_norm, norm
 from affproj.oracle import direct_projection, stack
-from affproj.sets import RowConstraintSet
+from affproj.sets import Hyperplane, RowConstraintSet
 from affproj.solver import All, LastQ, StoppingRule, run_alg1, run_alg2, run_map
 
 
@@ -66,6 +71,18 @@ def test_condition_b_ignores_zero_normals():
 def test_condition_b_small_under_full_window():
     sets, x0, _ = random_family(2)
     r = run_alg1(sets, x0, policy=All(), stop=StoppingRule(1e-10, 400))
+    rep = condition_report(r)
+    assert rep.condition_b_residuals
+    assert max(rep.condition_b_residuals) <= 1e-8
+
+
+def test_alg2_condition_b_is_measured_from_the_lifted_start():
+    """run_alg2's iterations begin at the lift of x0 into set 0: from there
+    the span condition holds under All(), and from x0 the worst residual
+    would be ||x0 - lift||."""
+    sets, x0, _ = random_family(2)
+    r = run_alg2(sets, x0, policy=All(), stop=StoppingRule(1e-10, 400))
+    assert r.converged and norm(x0 - r.trace[0].point) > 0.1
     rep = condition_report(r)
     assert rep.condition_b_residuals
     assert max(rep.condition_b_residuals) <= 1e-8
@@ -159,7 +176,7 @@ def parallel_planes():
 @pytest.mark.parametrize("family,policy,stop", [
     (random_family(9, dim=12, k=3, codim=3), LastQ(3), StoppingRule(1e-10, 400)),
     (random_family(9, dim=12, k=3, codim=3), All(), StoppingRule(1e-10, 400)),
-    (random_family(10), LastQ(2), StoppingRule(0.0, 600)),  # records whole-space entries
+    (random_family(10), LastQ(2), StoppingRule(0.0, 600)),  # runs on past convergence
     ((parallel_planes(), np.array([3.0, -2.0, 5.0]), None), LastQ(3), StoppingRule(1e-10, 40)),
 ])
 def test_alg1_decompositions_match_the_coefficient_reference(family, policy, stop):
@@ -185,6 +202,11 @@ def test_alg2_has_no_decompositions():
     assert step_decompositions(run_alg2(sets, x0, policy=All())) == []
 
 
+def span_start(r):
+    """x0 under run_alg1, the lifted start under run_alg2."""
+    return r.trace[0].point if r.trace[0].phase == "m1-projection" else r.x0
+
+
 @pytest.mark.parametrize("runner,policy,stop", [
     (run_alg1, LastQ(3), StoppingRule(1e-10, 400)),
     (run_alg1, All(), StoppingRule(1e-10, 400)),
@@ -193,9 +215,163 @@ def test_alg2_has_no_decompositions():
     (run_alg2, All(), StoppingRule(1e-10, 400)),
 ])
 def test_report_span_residuals_match_check_condition_b(runner, policy, stop):
-    sets, x0, member = random_family(10)  # records whole-space entries at stop_tol 0
+    """The report extends one basis window by window, where
+    check_condition_b factors each window afresh, so the two agree to
+    roundoff, not bit for bit."""
+    sets, x0, member = random_family(10)
     r = runner(sets, x0, policy=policy, stop=stop)
+    start = span_start(r)
     points = [t.point for t in r.trace if t.phase == "hyperplane-projection"]
-    expected = [check_condition_b(x0, p, [r.generated[j][1].normal for j in sel])
+    expected = [check_condition_b(start, p, [r.generated[j][1].normal for j in sel])
                 for p, sel in zip(points, r.selected_history)]
-    assert condition_report(r, member).condition_b_residuals == expected
+    got = condition_report(r, member).condition_b_residuals
+    assert len(got) == len(expected) == r.iterations
+    for g, e, p in zip(got, expected, points):
+        assert abs(g - e) <= 1e-10 * max(1.0, norm(start - p))
+
+
+# -- span residuals against the per-window least-squares reference ----------
+
+def reference_span_residual(x0, x_i, normals):
+    """The former diagnostics._span_residual, kept as the reference: the
+    nonzero normals stacked afresh and x0 - x_i solved against them by one
+    SVD least-squares solve, cut at RCOND * sigma_max."""
+    v = x0 - x_i
+    A = np.reshape([a for a in normals if np.any(a)], (-1, v.shape[0])).T
+    if not A.shape[1]:
+        return norm(v)
+    return norm(v - A @ lstsq_min_norm(A, v))
+
+
+def reference_slack(x0, x_i, normals):
+    """(cut, roundoff) of reference_span_residual on these normals.
+
+    cut is the part of x0 - x_i along the singular directions of the stack
+    that the reference cuts (sigma <= RCOND * sigma_max).  A SpanBasis
+    judges each row against the rows before it, so it can keep a row that
+    lies that close to the span of the others when it comes after them:
+    its residual may then be smaller than the reference's by up to cut.
+    roundoff is 100 eps kappa ||x0 - x_i||, with kappa the condition number
+    of the stack on the singular values the reference keeps: the kept
+    singular directions are only known to an angle of about eps kappa.  On
+    three rows of an inconsistent run_alg2 LastQ(5) window, 0.7 long and
+    1e-7 from parallel (kappa 1.3e7), the reference read 1.9e-7 where the
+    distance from the span of two of them is 7.2e-9: 23 eps kappa ||v||.
+    """
+    v = x0 - x_i
+    A = np.reshape([a for a in normals if np.any(a)], (-1, v.shape[0])).T
+    if not A.shape[1]:
+        return 0.0, 0.0
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    kept = sv > RCOND * sv[0]
+    return (norm(U[:, ~kept].T @ v),
+            100.0 * np.finfo(float).eps * sv[0] / sv[kept][-1] * norm(v))
+
+
+def inconsistent_family(seed):
+    """Three two-row sets in dim 4 with independent offsets: six rows in
+    dim 4 meet nowhere, so alg1's windows turn inconsistent."""
+    rng = np.random.default_rng(seed)
+    return ([RowConstraintSet(rng.standard_normal((2, 4)), rng.standard_normal(2))
+             for _ in range(3)], rng.standard_normal(4))
+
+
+def span_case(kind, seed):
+    """(sets, x0, stop) of a family kind: Gaussian, Gaussian at stop_tol 0
+    (whole-space entries), parallel planes (exact repeats, fallbacks), or
+    rows that meet nowhere (drop-half and full fallbacks)."""
+    if kind == "random":
+        return random_family(seed, dim=8, k=3, codim=2)[:2] + (StoppingRule(1e-10, 120),)
+    if kind == "fixed-point":
+        return random_family(seed)[:2] + (StoppingRule(0.0, 600),)
+    if kind == "parallel":
+        x0 = np.random.default_rng(seed).standard_normal(3)
+        return parallel_planes(), x0, StoppingRule(1e-10, 40)
+    return inconsistent_family(seed) + (StoppingRule(1e-10, 80),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "fixed-point", "parallel", "inconsistent"]),
+       st.sampled_from([run_alg1, run_alg2]),
+       st.one_of(st.builds(LastQ, st.integers(1, 6)), st.just(All())),
+       st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0))
+@example("fixed-point", run_alg1, LastQ(2), 1, 0.0)       # whole-space current entries
+@example("fixed-point", run_alg1, All(), 4, 0.0)          # and exact repeats
+@example("fixed-point", run_alg2, All(), 0, 3.0)
+@example("parallel", run_alg1, All(), 0, 0.0)             # exact repeats, full fallbacks
+@example("parallel", run_alg1, LastQ(3), 0, 4.0)
+@example("inconsistent", run_alg1, All(), 0, 0.0)         # drop-half fallbacks
+@example("inconsistent", run_alg2, LastQ(4), 1, -7.0)
+def test_span_residuals_match_the_least_squares_reference(kind, runner, policy, seed, length):
+    """The report's span residuals against reference_span_residual on every
+    correction, from the report's start, within reference_slack; and under
+    run_alg1 its decompositions against the coefficient reference, bit for
+    bit.  Every recorded hyperplane of a run is scaled by the same
+    10^length, which keeps its spans, so the rank cuts (RCOND times the
+    longest row here, RCOND times sigma_max there) are tested at lengths
+    from 1e-10 to 1e10."""
+    sets, x0, stop = span_case(kind, seed)
+    r = runner(sets, x0, policy=policy, stop=stop)
+    if not r.selected_history:
+        return
+    if runner is run_alg1:
+        assert step_decompositions(r) == reference_alg1_decompositions(r)
+    r = dataclasses.replace(r, generated=[(k, Hyperplane(10.0 ** length * h.normal,
+                                                         10.0 ** length * h.offset))
+                                          for k, h in r.generated])
+    start = span_start(r)
+    points = [t.point for t in r.trace if t.phase == "hyperplane-projection"]
+    got = condition_report(r).condition_b_residuals
+    assert len(got) == len(points) == len(r.selected_history)
+    for g, p, sel in zip(got, points, r.selected_history):
+        normals = [r.generated[j][1].normal for j in sel]
+        ref = reference_span_residual(start, p, normals)
+        cut, roundoff = reference_slack(start, p, normals)
+        tol = 1e-10 * max(1.0, norm(start - p)) + roundoff
+        assert ref - cut - tol <= g <= ref + tol
+
+
+@pytest.mark.parametrize("iterations", [50, 200])
+def test_all_window_report_extends_its_basis_without_refactoring(monkeypatch, iterations):
+    """alg1 All() at stop_tol 0 on three one-row sets in dim 4 sits at its
+    fixed point for most of the run, without fallbacks.  Its report factors
+    each correction's new row alone, once per correction that adds a live
+    row, and never a window afresh."""
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(4)
+    sets = []
+    for _ in range(3):
+        C = rng.standard_normal((1, 4))
+        sets.append(RowConstraintSet(C, C @ z))
+    r = run_alg1(sets, rng.standard_normal(4), policy=All(),
+                 stop=StoppingRule(0.0, 2 * iterations))
+    live = [not h.is_whole_space() for _, h in r.generated]
+    assert r.iterations == iterations and not r.warnings and not all(live)
+    columns = []
+    dgeqp3 = linalg.lapack.dgeqp3
+
+    def counted(a, *args, **kwargs):
+        columns.append(a.shape[1])
+        return dgeqp3(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "dgeqp3", counted)
+    rep = condition_report(r, z)
+    assert columns == [1] * sum(live)
+    assert max(rep.condition_b_residuals) <= 1e-8
+
+
+# -- dimension checks ---------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda r: condition_report(r, np.array([0.5])),
+    lambda r: count_fejer_violations(r.points(), [0.5]),
+    lambda r: check_fejer(r.points(), [0.5]),
+    lambda r: check_condition_b(r.x0, [0.5], [r.generated[0][1].normal]),
+    lambda r: check_condition_b(r.x0, r.solution, [np.ones(3)]),
+], ids=["condition_report", "count_fejer_violations", "check_fejer", "check_condition_b x_i",
+        "check_condition_b normal"])
+def test_a_wrong_dimension_raises_naming_both(call):
+    sets, x0, _ = random_family(7)
+    r = run_alg1(sets, x0, policy=All(), stop=StoppingRule(1e-10, 400))
+    with pytest.raises(ValueError, match=r"dimension 10.*dimension (1|3)\b|dimension (1|3)\b.*dimension 10"):
+        call(r)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affproj.linalg import GramFactor, as_point, gram_solve, inner, lstsq_min_norm, norm
+from affproj.linalg import (GramFactor, SpanBasis, as_point, gram_solve, inner,
+                            lstsq_min_norm, norm)
 
 
 def test_inner_orthogonal_vectors():
@@ -199,3 +200,26 @@ def test_cauchy_schwarz(xs, ys):
     x = np.array(xs[:n])
     y = np.array(ys[:n])
     assert abs(inner(x, y)) <= norm(x) * norm(y) + 1e-6 * (1.0 + norm(x) * norm(y))
+
+
+def test_span_basis_grown_row_by_row_matches_one_extend():
+    """Rows added one at a time or all at once span the same space: an
+    exact repeat adds no rank, and the residual is the least-squares one."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 9))
+    A = np.vstack([A, A[1], 1e3 * A[2]])
+    v = rng.standard_normal(9)
+    whole, grown = SpanBasis(9, 6), SpanBasis(9, 6)
+    whole.extend(list(A))
+    for a in A:
+        grown.extend([a])
+    np.testing.assert_array_equal(grown.rows, A)
+    ref = norm(v - A.T @ lstsq_min_norm(A.T, v))
+    for b in (whole, grown):
+        assert b.rank == 4
+        np.testing.assert_allclose(b.Q[:4] @ b.Q[:4].T, np.eye(4), atol=1e-14)
+        assert abs(b.residual(v) - ref) <= 1e-12 * norm(v)
+    with pytest.raises(ValueError, match="capacity"):
+        grown.extend([A[0]])
+    grown.reset()
+    assert grown.size == grown.rank == 0 and grown.residual(v) == norm(v)
