@@ -134,12 +134,12 @@ def _corrections(result):
     if not history:
         return
     dim = result.x0.shape[0]
-    live = [not h.is_whole_space() for _, h in generated]
     basis = SpanBasis(dim, max(len(selected) for selected in history))
     alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
     keys = []
     for i, selected in enumerate(history):
-        window = [j for j in selected if live[j]]
+        # only a window's current (last) entry can be the whole space
+        window = selected[:-1] if generated[selected[-1]][1].is_whole_space() else selected
         if window[:len(keys)] != keys:
             basis.reset()
             keys = []

@@ -237,35 +237,12 @@ class SpanBasis:
         return norm(v - (Q @ v) @ Q)
 
 
-def gram_solve(vectors, rhs) -> np.ndarray:
-    """Coefficients lambda with G lambda ~= rhs, G_jk = <a_j, a_k>.
-
-    vectors is a GramFactor of the a_j, a 2-d array whose rows are the a_j,
-    used as it is, or a sequence of equal-length vectors, which is stacked
-    once.
-
-    A GramFactor costs two triangular solves, O(rank^2), and leaves the
-    rows outside its factor at lambda_j = 0 (see GramFactor for the rank
-    rule).  Otherwise the cost is the k x k Gram product, O(k^2 n) for k
-    vectors of length n, plus an O(k^3) minimum-norm least-squares solve,
-    so rank-deficient (redundant) families are fine: the combination
-    sum_j lambda_j a_j is the same for every least-squares solution because
-    null(G) = null(A^T) when G = A A^T.
+def gram_solve(factor: GramFactor, rhs) -> np.ndarray:
+    """Coefficients lambda with G lambda = rhs, G_jk = <a_j, a_k>, from the
+    GramFactor of the a_j: two triangular solves, O(rank^2).  The rows
+    outside the factor get lambda_j = 0 (see GramFactor for the rank rule).
     """
     rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    if isinstance(vectors, GramFactor):
-        if vectors.size != rhs.shape[0]:
-            raise ValueError(f"{vectors.size} vectors but rhs of length {rhs.shape[0]}")
-        return vectors.solve(rhs)
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        A = np.asarray(vectors, dtype=float)
-    else:
-        rows = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-        # vstack raises on ragged input, which covers the shared-dim precondition
-        A = np.vstack(rows) if rows else np.zeros((0, 0))
-    if A.shape[0] != rhs.shape[0]:
-        raise ValueError(f"{A.shape[0]} vectors but rhs of length {rhs.shape[0]}")
-    if A.shape[0] == 0:
-        return np.zeros(0)
-    G = A @ A.T
-    return lstsq_min_norm(G, rhs)
+    if factor.size != rhs.shape[0]:
+        raise ValueError(f"{factor.size} vectors but rhs of length {rhs.shape[0]}")
+    return factor.solve(rhs)

@@ -38,8 +38,8 @@ class LastQ:
     q: int
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be a positive integer")
+        if isinstance(self.q, bool) or not isinstance(self.q, Integral) or self.q < 1:
+            raise ValueError(f"q must be a positive integer, got {self.q!r}")
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,12 @@ ConditionB = All
 WindowPolicy = Union[LastQ, All]
 
 
-@dataclass
-class BufferEntry:
-    index: int
-    set_index: int
-    h: Hyperplane
-
-
 class HyperplaneBuffer:
-    """Ordered store of generated hyperplanes plus the window policy.
+    """The generated hyperplanes and the window policy.
 
-    entries holds every generated hyperplane; live lists the indices of
-    those that are not the whole space, in generation order, so that a
-    selection is a slice of it.
+    generated holds one (set index, hyperplane) record per generation
+    index; live lists the generation indices of the hyperplanes that are
+    not the whole space, in order, so that a selection is a slice of it.
 
     The live normals and offsets are also copied into the rows of one
     array: a ring of q rows under LastQ(q) (live entry j in row j % q), and
@@ -83,16 +76,20 @@ class HyperplaneBuffer:
     """
 
     def __init__(self, policy: WindowPolicy):
+        if not isinstance(policy, (LastQ, All)):
+            raise TypeError(f"window policy must be LastQ(q) or All(), got {policy!r}")
         self.policy = policy
-        self.entries: List[BufferEntry] = []
+        self.generated: List[Tuple[int, Hyperplane]] = []
         self.live: List[int] = []
         self.ring = policy.q if isinstance(policy, LastQ) else None
         self.normals = self.offsets = self.gram = None  # allocated by the first live entry
         self.factor = None if self.ring else GramFactor()
 
     def append(self, h: Hyperplane, set_index: int) -> int:
-        idx = len(self.entries)
-        self.entries.append(BufferEntry(idx, set_index, h))
+        """Record h, generated by a projection onto set set_index, and
+        return its generation index."""
+        idx = len(self.generated)
+        self.generated.append((set_index, h))
         if not h.is_whole_space():
             self._store(h)
             self.live.append(idx)
@@ -120,42 +117,47 @@ class HyperplaneBuffer:
         else:
             self.factor.append(g)
 
-    def select(self, current: int) -> List[BufferEntry]:
-        """Entries for the correction at generation index `current`.
+    def select(self, current: int) -> List[int]:
+        """Generation indices of the window of the correction at `current`.
 
         The live entries generated before `current` (the newest q - 1 under
         LastQ, all of them otherwise), in generation order, then `current`
-        itself.  Repeated normals are kept: they make the window's Gram
-        matrix singular, and the GramFactor leaves the repeats out.  A
-        selection is a slice of live, so it costs O(window).
+        itself, which is the only one that can be the whole space.
+        Repeated normals are kept: they make the window's Gram matrix
+        singular, and the GramFactor leaves the repeats out.  A selection
+        is one slice of live.
         """
         older = bisect_left(self.live, current)
         first = max(0, older - self.policy.q + 1) if isinstance(self.policy, LastQ) else 0
-        return [self.entries[j] for j in self.live[first:older]] + [self.entries[current]]
+        return self.live[first:older] + [current]
 
-    def window(self, current: int):
+    def window(self, current: int, keep: Optional[int] = None):
         """(normals, offsets, rows, factor) for the correction at the newest
-        entry `current`: the stored rows, the indices of the live entries of
-        select(current) among them in generation order, and the GramFactor
-        of those rows."""
+        entry `current`: the stored rows, the indices among them of the live
+        entries of select(current) in generation order, and the GramFactor
+        of those rows.  With keep, only the newest keep of those rows,
+        factored afresh."""
         n = len(self.live)
         if not n:
             return None, None, np.arange(0), GramFactor()
-        if not self.ring:
+        if keep is None and not self.ring:
             return self.normals[:n], self.offsets[:n], np.arange(n), self.factor
-        current_live = self.live[-1] == current
-        return self.block(np.arange(n - min(n, self.ring - 1 + current_live), n) % self.ring)
-
-    def block(self, rows):
-        """window's tuple for the given stored rows, factored afresh."""
-        A = self.normals[:min(len(self.live), len(self.normals))]
+        if keep is None:
+            keep = min(n, self.ring - 1 + (self.live[-1] == current))
+        A = self.normals[:min(n, len(self.normals))]
+        rows = np.arange(n - keep, n) % len(A)  # the ring wraps; All()'s rows never do
         G = self.gram.take(rows, 0).take(rows, 1) if self.ring else A[rows] @ A[rows].T
         return A, self.offsets[:len(A)], rows, GramFactor.of(G)
 
 
 @dataclass
 class CyclicSchedule:
-    """Fixed repeating order of set indices; enforces bounded revisit gaps."""
+    """Fixed repeating order of set indices.
+
+    The drivers require it to visit every set of the family and no other
+    (under run_alg2 every set but the easy set 0), so each set is
+    revisited within len(order) iterations.
+    """
 
     order: List[int]
 
@@ -185,8 +187,9 @@ class StoppingRule:
     def __post_init__(self):
         if not self.stop_tol >= 0.0:  # also rejects NaN
             raise ValueError("stop_tol must be a non-negative number")
-        if not isinstance(self.max_iter, Integral) or self.max_iter < 0:
-            raise ValueError("max_iter must be a non-negative integer")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral)
+                or self.max_iter < 0):
+            raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
 
 
 @dataclass
@@ -230,21 +233,21 @@ def _correct(x: np.ndarray, buffer: HyperplaneBuffer, current: int,
     the three mat-vecs of sets._window_step, plus O(q^2) under All() and
     one q x q factorization under LastQ.  Exact arithmetic guarantees the
     selected family is consistent; on a numerical infeasibility report,
-    drop the older half of the window (its newer half is factored afresh)
-    and retry once, then fall back to no correction at all.
+    drop the older half of the window (its newer half is factored afresh:
+    every entry of it is live but a whole-space `current`) and retry once,
+    then fall back to no correction at all.
 
-    Returns (corrected point, selected entries, coefficients); see
-    SolveResult.coefficients.
+    Returns (corrected point, generation indices of the window used,
+    coefficients); see SolveResult.coefficients.
     """
     selected = buffer.select(current)
-    A, b, rows, factor = buffer.window(current)
     try:
-        p, lam = _window_step(x, A, b, rows, factor)
+        p, lam = _window_step(x, *buffer.window(current))
     except InfeasibleIntersectionError:
         selected = selected[len(selected) // 2:]
-        rows = rows[len(rows) - sum(not e.h.is_whole_space() for e in selected):]
+        keep = len(selected) - buffer.generated[current][1].is_whole_space()
         try:
-            p, lam = _window_step(x, *buffer.block(rows))
+            p, lam = _window_step(x, *buffer.window(current, keep))
             warnings.append(f"correction {current}: dropped oldest hyperplanes after "
                             "an inconsistent intersection")
         except InfeasibleIntersectionError:
@@ -288,8 +291,11 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
     gives the recorded hyperplane as a normal (None: the whole space) and
     a point on it, and the window correction of the path's end is the next
     iterate; its window and coefficients are only stored, for diagnostics.
-    lift is the set the start is first projected onto; the default
-    schedule then skips it (set 0).
+    lift is the set the start is first projected onto; the schedule must
+    then skip it (set 0).  A schedule that names a set outside the family,
+    or never visits one it should, raises ValueError before any projection.
+    policy is the window policy of an accelerated run; every whole-space
+    hyperplane of the run is one shared record.
 
     Each main iterate is checked once, by _check, inside the iteration
     that made it (one that raises InfeasibleSetError records nothing).
@@ -305,9 +311,15 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
     at once raised alg2's max RSS from 110 to 120 MB (heap fragmentation).
     """
     start = as_point(x0).copy()
-    schedule = schedule or CyclicSchedule(list(range(int(lift is not None), len(sets))))
+    wanted = range(int(lift is not None), len(sets))
+    schedule = schedule or CyclicSchedule(list(wanted))
+    if set(schedule.order) != set(wanted):
+        raise ValueError(f"schedule {schedule.order} must visit each of sets "
+                         f"{list(wanted)} and no other")
     stop = stop or StoppingRule()
-    buffer = HyperplaneBuffer(policy)
+    if support is not None:
+        buffer = HyperplaneBuffer(policy)
+        whole = Hyperplane(np.zeros_like(start), 0.0)
     trace, warnings, selected_history, coefficients = [], [], [], []
     i = substeps = 0
     reason = "max-iter"
@@ -336,8 +348,7 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
             xn = end = steps[-1][2]
             if support is not None:
                 normal, through = support(x, steps, i + 1, warnings)
-                h = (Hyperplane(np.zeros_like(x), 0.0) if normal is None
-                     else Hyperplane(normal, inner(normal, through)))
+                h = whole if normal is None else Hyperplane(normal, inner(normal, through))
                 cur = buffer.append(h, l)
                 xn, selected, lam = _correct(xn, buffer, cur, warnings)
             met, ahead = _check(sets, xn, schedule.index_at(i + 1),
@@ -353,7 +364,7 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
         x = xn
         if support is not None:
             substeps += 1
-            selected_history.append([e.index for e in selected])
+            selected_history.append(selected)
             coefficients.append(lam)
             trace.append(_record(i, "hyperplane-projection", None, x, norm(x - end)))
         if met:
@@ -362,7 +373,7 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
                        converged=reason == "residual-met", stop_reason=reason, x0=start,
                        warnings=warnings,
                        # drops the hyperplane of an iteration that failed
-                       generated=[(e.set_index, e.h) for e in buffer.entries[:i]],
+                       generated=buffer.generated[:i] if support is not None else [],
                        selected_history=selected_history, coefficients=coefficients)
 
 
@@ -371,8 +382,6 @@ def _set_projection(sets, l, p):
 
 
 def _composite_projection(sets, l, p):
-    if l == 0:
-        raise ValueError("schedule for the accelerated-2 scheme must avoid set 0")
     return [("set-projection", l, p), ("m1-projection", 0, sets[0].project(p))]
 
 

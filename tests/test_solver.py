@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affproj.diagnostics import check_fejer, step_decompositions
-from affproj.linalg import TOL_FEAS, GramFactor, gram_solve, inner, norm
+from affproj.linalg import TOL_FEAS, GramFactor, inner, lstsq_min_norm, norm
 from affproj.oracle import direct_projection, stack
 from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleIntersectionError,
                           InfeasibleSetError, RowConstraintSet,
@@ -69,7 +69,8 @@ def test_map_respects_max_iter():
 
 
 @pytest.mark.parametrize("kwargs", [{"stop_tol": float("nan")}, {"stop_tol": -1e-10},
-                                    {"max_iter": -5}, {"max_iter": 2.5}])
+                                    {"max_iter": -5}, {"max_iter": 2.5},
+                                    {"max_iter": True}])
 def test_stopping_rule_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
         StoppingRule(**kwargs)
@@ -347,11 +348,59 @@ def test_schedule_rejects_empty_order():
         CyclicSchedule([])
 
 
+class ProjectionCountingSet(RowConstraintSet):
+    def __init__(self, C, d, calls):
+        super().__init__(C, d)
+        self.calls = calls
+
+    def project(self, x):
+        self.calls.append(1)
+        return super().project(x)
+
+
+@pytest.mark.parametrize("runner,order", [
+    (run_map, [-1, 0, 1]),   # a negative index would wrap around to the last set
+    (run_map, [0, 1, 5]),    # out of range
+    (run_map, [0, 1]),       # set 2 is never projected onto
+    (run_alg1, [0, 1, 3]),
+    (run_alg1, [2, 1]),
+    (run_alg2, [1, 2, 0]),   # the easy set is kept by the lift, never scheduled
+    (run_alg2, [1, 1]),      # set 2 is never projected onto
+])
+def test_schedule_is_checked_against_the_family_before_any_projection(runner, order):
+    calls = []
+    family, x0, _ = random_family(12, dim=6, k=3, codim=1)
+    sets = [ProjectionCountingSet(s.C, s.d, calls) for s in family]
+    with pytest.raises(ValueError, match="schedule"):
+        runner(sets, x0, schedule=CyclicSchedule(order))
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [2.5, True, np.float64(3.0), "3"])
+def test_window_size_must_be_a_positive_integer(q):
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        LastQ(q)
+
+
+def test_window_size_accepts_numpy_integers():
+    assert HyperplaneBuffer(LastQ(np.int64(3))).ring == 3
+
+
+@pytest.mark.parametrize("runner", [run_alg1, run_alg2])
+@pytest.mark.parametrize("policy", ["all", None, 3])
+def test_accelerated_runs_reject_an_unknown_window_policy(runner, policy):
+    calls = []
+    sets = [ProjectionCountingSet(s.C, s.d, calls) for s in two_lines()]
+    with pytest.raises(TypeError, match="window policy"):
+        runner(sets, [1.0, 1.0], policy=policy)
+    assert calls == []
+
+
 def test_buffer_window_keeps_current_plus_most_recent():
     buf = HyperplaneBuffer(LastQ(2))
     ids = [buf.append(Hyperplane([1.0, float(i)], 0.0), 0) for i in range(4)]
     sel = buf.select(ids[-1])
-    assert [e.index for e in sel] == [2, 3]
+    assert sel == [2, 3]
 
 
 def test_buffer_window_skips_whole_space_entries():
@@ -360,7 +409,7 @@ def test_buffer_window_skips_whole_space_entries():
     buf.append(Hyperplane([0.0, 0.0], 0.0), 1)
     cur = buf.append(Hyperplane([0.0, 1.0], 2.0), 0)
     sel = buf.select(cur)
-    assert [e.index for e in sel] == [0, 2]
+    assert sel == [0, 2]
 
 
 def test_buffer_window_keeps_identical_normals_in_generation_order():
@@ -369,25 +418,25 @@ def test_buffer_window_keeps_identical_normals_in_generation_order():
     buf.append(Hyperplane([1.0, 0.0], 1.0 + 1e-13), 1)
     cur = buf.append(Hyperplane([0.0, 1.0], 0.0), 0)
     sel = buf.select(cur)
-    assert [e.index for e in sel] == [0, 1, 2]
+    assert sel == [0, 1, 2]
     buf.policy = LastQ(2)
-    assert [e.index for e in buf.select(cur)] == [1, 2]
+    assert buf.select(cur) == [1, 2]
 
 
 def pairwise_select(buffer, current):
     """The former HyperplaneBuffer.select, kept as the reference: a walk
     back over every older entry, skipping whole-space entries."""
-    chosen = [buffer.entries[current]]
+    chosen = [current]
     if isinstance(buffer.policy, LastQ):
         budget = buffer.policy.q - 1
     else:
-        budget = len(buffer.entries)
-    for e in reversed(buffer.entries[:current]):
+        budget = len(buffer.generated)
+    for j in reversed(range(current)):
         if budget <= 0:
             break
-        if e.h.is_whole_space():
+        if buffer.generated[j][1].is_whole_space():
             continue
-        chosen.append(e)
+        chosen.append(j)
         budget -= 1
     chosen.reverse()
     return chosen
@@ -425,8 +474,7 @@ def test_select_matches_pairwise_reference(dim, policy, kinds, seed, data):
         buf.append(Hyperplane(a, 0.0), 0)
     current = data.draw(st.integers(0, len(kinds) - 1))
     for cur in (current, len(kinds) - 1):
-        assert ([e.index for e in buf.select(cur)]
-                == [e.index for e in pairwise_select(buf, cur)])
+        assert buf.select(cur) == pairwise_select(buf, cur)
 
 
 @pytest.mark.parametrize("older,newer", [(-0.0, 0.0), (0.0, -0.0)])
@@ -436,7 +484,7 @@ def test_signed_zero_normals_kept_in_generation_order(older, newer):
     buf.append(Hyperplane([older, 1.0], 1.0), 0)
     buf.append(Hyperplane([newer, 1.0], 1.0 + 1e-13), 1)
     cur = buf.append(Hyperplane([1.0, 0.0], 0.0), 0)
-    assert [e.index for e in buf.select(cur)] == [0, 1, 2]
+    assert buf.select(cur) == [0, 1, 2]
 
 
 def test_colliding_fingerprints_keep_both_normals():
@@ -448,7 +496,7 @@ def test_colliding_fingerprints_keep_both_normals():
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane(a, 0.0), 0)
     cur = buf.append(Hyperplane(b, 0.0), 1)
-    assert [e.index for e in buf.select(cur)] == [0, 1]
+    assert buf.select(cur) == [0, 1]
 
 
 def test_select_does_not_walk_back_past_whole_space_entries(monkeypatch):
@@ -471,9 +519,9 @@ def test_select_does_not_walk_back_past_whole_space_entries(monkeypatch):
     monkeypatch.setattr(np, "array_equal", counted("array_equal", np.array_equal))
     monkeypatch.setattr(Hyperplane, "is_whole_space",
                         counted("is_whole_space", Hyperplane.is_whole_space))
-    assert [e.index for e in buf.select(cur)] == [5000, 5001]
+    assert buf.select(cur) == [5000, 5001]
     buf.policy = All()
-    assert [e.index for e in buf.select(cur)] == [5000, 5001]
+    assert buf.select(cur) == [5000, 5001]
     assert calls["array_equal"] <= 2 and calls["is_whole_space"] <= 4
 
 
@@ -519,7 +567,7 @@ def stacked_intersection_step(x, hyperplanes):
     A = np.vstack([h.normal for h in kept])
     b = np.array([h.offset for h in kept])
     resid = b - np.array([np.dot(h.normal, x) for h in kept])
-    lam = gram_solve(A, resid)
+    lam = lstsq_min_norm(A @ A.T, resid)
     p = x + A.T @ lam
     worst = np.max(np.abs(b - A @ p))
     if worst > TOL_FEAS * max(1.0, np.max(np.abs(b))):
@@ -532,11 +580,11 @@ def stacked_correct(x, buffer, current, warnings):
     """The former solver._correct, over stacked_intersection_step."""
     selected = buffer.select(current)
     try:
-        p, lam = stacked_intersection_step(x, [e.h for e in selected])
+        p, lam = stacked_intersection_step(x, [buffer.generated[j][1] for j in selected])
     except InfeasibleIntersectionError:
         selected = selected[len(selected) // 2:]
         try:
-            p, lam = stacked_intersection_step(x, [e.h for e in selected])
+            p, lam = stacked_intersection_step(x, [buffer.generated[j][1] for j in selected])
             warnings.append(f"correction {current}: dropped oldest hyperplanes after "
                             "an inconsistent intersection")
         except InfeasibleIntersectionError:
@@ -556,8 +604,9 @@ def assert_matches_stacked_reference(x, buf, cur):
     tol = 1e-9 * max(1.0, norm(x))
     assert norm(p - q) <= tol
     assert ours == ref
-    assert [e.index for e in selected] == [e.index for e in ref_selected]
-    normals = [e.h.normal for e in selected if not e.h.is_whole_space()]
+    assert selected == ref_selected
+    hyperplanes = [buf.generated[j][1] for j in selected]
+    normals = [h.normal for h in hyperplanes if not h.is_whole_space()]
     assert lam.shape == ((len(normals),) if lam.size else (0,))
     assert norm(x + sum((l * a for l, a in zip(lam, normals)), np.zeros_like(x)) - p) <= tol
 
@@ -653,7 +702,7 @@ def test_factor_keeps_a_short_row_that_a_later_long_row_would_cut():
     warnings = []
     p = _correct(x, buf, cur, warnings)[0]
     q = stacked_correct(x, buf, cur, [])[0]
-    exact = direct_projection(x, stack([HyperplaneSet(e.h) for e in buf.entries]))
+    exact = direct_projection(x, stack([HyperplaneSet(h) for _, h in buf.generated]))
     assert not warnings and buf.factor.rank == 2
     assert norm(p - exact) <= 1e-9 * norm(x)
     assert abs(a1 @ q - a1 @ z) > 0.1
@@ -692,6 +741,21 @@ def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch,
     assert rows == list(range(1, live + 1))
     assert all(b - a in (0, 1) for a, b in zip([0] + ranks, ranks)) and ranks[-1] <= 4
     assert refactors == []
+
+
+@pytest.mark.parametrize("runner,policy,start", [
+    (run_alg1, LastQ(3), None),  # the fixed-point probe: set projections that do not move
+    (run_alg2, LastQ(1), [1e-11, 0.0]),  # degenerate composite steps
+])
+def test_every_whole_space_record_of_a_run_is_one_object(runner, policy, start):
+    if start is None:
+        sets, x0, _ = random_family(0, dim=4, k=3, codim=1)
+    else:
+        sets, x0 = two_lines(), start
+    r = runner(sets, x0, policy=policy, stop=StoppingRule(0.0, 400))
+    whole = [h for _, h in r.generated if h.is_whole_space()]
+    assert len(whole) > 1
+    assert all(h is whole[0] for h in whole)
 
 
 # -- shared convergence certificates ----------------------------------------
