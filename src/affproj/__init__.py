@@ -15,14 +15,14 @@ from .sets import (AffineSet, CustomSet, Hyperplane, HyperplaneSet,
                    RowConstraintSet, project_hyperplane,
                    project_hyperplane_intersection, project_row_constraint,
                    residual)
-from .solver import (All, ConditionB, CyclicSchedule, HyperplaneBuffer, LastQ,
-                     SolveResult, StoppingRule, WindowPolicy, lift_start,
-                     run_alg1, run_alg2, run_map)
+from .solver import (All, CyclicSchedule, HyperplaneBuffer, LastQ, SolveResult,
+                     StoppingRule, WindowPolicy, lift_start, run_alg1, run_alg2,
+                     run_map)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSet", "All", "ConditionB", "ConditionReport", "CustomSet",
+    "AffineSet", "All", "ConditionReport", "CustomSet",
     "CyclicSchedule", "Hyperplane", "HyperplaneBuffer", "HyperplaneSet",
     "InfeasibleIntersectionError", "InfeasibleSetError", "IterationRecord",
     "LastQ", "RowConstraintSet", "SolveResult", "StackedConstraints",

@@ -21,8 +21,8 @@ from .diagnostics import condition_report
 from .linalg import norm
 from .oracle import UnsupportedSetError, direct_projection, stack
 from .sets import AffineSet, InfeasibleSetError, RowConstraintSet
-from .solver import (All, ConditionB, CyclicSchedule, LastQ, SolveResult,
-                     StoppingRule, WindowPolicy, run_alg1, run_alg2, run_map)
+from .solver import (All, CyclicSchedule, LastQ, SolveResult, StoppingRule,
+                     WindowPolicy, run_alg1, run_alg2, run_map)
 
 THRESHOLDS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
@@ -122,8 +122,6 @@ def _make_policy(args) -> WindowPolicy:
         return LastQ(q)
     if name == "all":
         return All()
-    if name == "condition-b":
-        return ConditionB()
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -300,7 +298,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alg", choices=("map", "alg1", "alg2"), default="map")
     p.add_argument("--q", type=int, default=None, help="window size (implies lastq)")
-    p.add_argument("--policy", choices=("lastq", "all", "condition-b"), default=None)
+    p.add_argument("--policy", choices=("lastq", "all"), default=None)
     p.add_argument("--stop-tol", dest="stop_tol", type=float, default=1e-10)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=10000)
 

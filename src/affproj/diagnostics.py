@@ -126,9 +126,9 @@ def _corrections(result):
 
     One basis serves the whole pass and is reused, so read it before taking
     the next correction.  A window whose nonzero entries extend the previous
-    window's (every window under All() without fallbacks) adds only its new
-    rows.  Any other window (under LastQ, or after a fallback dropped the
-    older half) resets the basis and adds all of its rows.
+    window's (every window under All(), fallbacks included) adds only its
+    new rows.  Any other window (under LastQ) resets the basis and adds all
+    of its rows.
     """
     history, generated = result.selected_history, result.generated
     if not history:

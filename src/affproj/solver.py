@@ -47,11 +47,6 @@ class All:
     """Use every recorded hyperplane (the q = infinity window)."""
 
 
-# The window certified to keep x0 - x_i inside the span of the selected
-# normals.  Keeping every normal ever used is the simplest certified
-# choice, so it is the All policy under a second name.
-ConditionB = All
-
 WindowPolicy = Union[LastQ, All]
 
 
@@ -71,8 +66,7 @@ class HyperplaneBuffer:
     afresh with one LAPACK call.  Under All() every window is the previous
     one plus at most one row, so the new Gram column goes straight into the
     window's GramFactor, O(q^2), which is never refactored; the Gram matrix
-    itself is not kept, because it would grow as the square of the window
-    (a fallback recomputes the block it needs from the rows).
+    itself is not kept, because it would grow as the square of the window.
     """
 
     def __init__(self, policy: WindowPolicy):
@@ -117,36 +111,41 @@ class HyperplaneBuffer:
         else:
             self.factor.append(g)
 
+    def _bounds(self, current: int) -> Tuple[int, int]:
+        """(first, older): live[first:older] are the live entries generated
+        before `current` that its window keeps, the newest q - 1 under
+        LastQ(q) and all of them under All()."""
+        older = bisect_left(self.live, current)
+        first = max(0, older - self.policy.q + 1) if isinstance(self.policy, LastQ) else 0
+        return first, older
+
     def select(self, current: int) -> List[int]:
         """Generation indices of the window of the correction at `current`.
 
-        The live entries generated before `current` (the newest q - 1 under
-        LastQ, all of them otherwise), in generation order, then `current`
-        itself, which is the only one that can be the whole space.
+        The live entries of _bounds(current), in generation order, then
+        `current` itself, which is the only one that can be the whole space.
         Repeated normals are kept: they make the window's Gram matrix
         singular, and the GramFactor leaves the repeats out.  A selection
         is one slice of live.
         """
-        older = bisect_left(self.live, current)
-        first = max(0, older - self.policy.q + 1) if isinstance(self.policy, LastQ) else 0
+        first, older = self._bounds(current)
         return self.live[first:older] + [current]
 
-    def window(self, current: int, keep: Optional[int] = None):
+    def window(self, current: int):
         """(normals, offsets, rows, factor) for the correction at the newest
         entry `current`: the stored rows, the indices among them of the live
         entries of select(current) in generation order, and the GramFactor
-        of those rows.  With keep, only the newest keep of those rows,
-        factored afresh."""
+        of those rows (under All() the one grown by append, under LastQ the
+        ring's block factored afresh)."""
         n = len(self.live)
         if not n:
             return None, None, np.arange(0), GramFactor()
-        if keep is None and not self.ring:
-            return self.normals[:n], self.offsets[:n], np.arange(n), self.factor
-        if keep is None:
-            keep = min(n, self.ring - 1 + (self.live[-1] == current))
-        A = self.normals[:min(n, len(self.normals))]
-        rows = np.arange(n - keep, n) % len(A)  # the ring wraps; All()'s rows never do
-        G = self.gram.take(rows, 0).take(rows, 1) if self.ring else A[rows] @ A[rows].T
+        rows = np.arange(self._bounds(current)[0], n)
+        if not self.ring:
+            return self.normals[:n], self.offsets[:n], rows, self.factor
+        rows %= self.ring
+        A = self.normals[:min(n, self.ring)]
+        G = self.gram.take(rows, 0).take(rows, 1)
         return A, self.offsets[:len(A)], rows, GramFactor.of(G)
 
 
@@ -226,34 +225,26 @@ def lift_start(x0, m1: AffineSet) -> np.ndarray:
 
 def _correct(x: np.ndarray, buffer: HyperplaneBuffer, current: int,
              warnings: List[str]):
-    """Hyperplane-window correction with the degeneracy fallback.
+    """Hyperplane-window correction, or none at all.
 
     Projects x onto the intersection of the window of the newest entry
     `current` through the buffer's stored rows and Gram factor: O(q n) for
     the three mat-vecs of sets._window_step, plus O(q^2) under All() and
-    one q x q factorization under LastQ.  Exact arithmetic guarantees the
-    selected family is consistent; on a numerical infeasibility report,
-    drop the older half of the window (its newer half is factored afresh:
-    every entry of it is live but a whole-space `current`) and retry once,
-    then fall back to no correction at all.
+    one q x q factorization under LastQ.  Every recorded hyperplane contains
+    the intersection of the sets, so the window is inconsistent only
+    through roundoff or when the sets do not meet; then the correction is
+    skipped with one warning, and x is returned unmoved.
 
-    Returns (corrected point, generation indices of the window used,
-    coefficients); see SolveResult.coefficients.
+    Returns (corrected point, generation indices of the window, coefficients);
+    see SolveResult.coefficients.
     """
     selected = buffer.select(current)
     try:
         p, lam = _window_step(x, *buffer.window(current))
     except InfeasibleIntersectionError:
-        selected = selected[len(selected) // 2:]
-        keep = len(selected) - buffer.generated[current][1].is_whole_space()
-        try:
-            p, lam = _window_step(x, *buffer.window(current, keep))
-            warnings.append(f"correction {current}: dropped oldest hyperplanes after "
-                            "an inconsistent intersection")
-        except InfeasibleIntersectionError:
-            warnings.append(f"correction {current}: intersection still inconsistent, "
-                            "fell back to the uncorrected iterate")
-            return x.copy(), selected, np.zeros(0)
+        warnings.append(f"correction {current}: inconsistent intersection, "
+                        "fell back to the uncorrected iterate")
+        return x.copy(), selected, np.zeros(0)
     return p, selected, lam
 
 
@@ -385,9 +376,15 @@ def _composite_projection(sets, l, p):
     return [("set-projection", l, p), ("m1-projection", 0, sets[0].project(p))]
 
 
+# A displacement of at most ROUNDOFF_STEP * max(1, ||x||) is roundoff (such as
+# a repeated projection onto a one-row set): as a live window row, its noise
+# direction would pull the correction along C - C, away from P_C(x0).
+ROUNDOFF_STEP = 64 * np.finfo(float).eps
+
+
 def _displacement_hyperplane(x, path, i, warnings):
     a = x - path[0][2]
-    return (a if norm(a) > 0.0 else None), path[0][2]
+    return (a if norm(a) > ROUNDOFF_STEP * max(1.0, norm(x)) else None), path[0][2]
 
 
 def _composite_hyperplane(x, path, i, warnings):
@@ -415,8 +412,9 @@ def run_alg1(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
     """Projections with supporting-hyperplane corrections.
 
     Each iteration projects onto the scheduled set, records the
-    hyperplane {x : <a, x> = <a, p>} with a = iterate - projection, and
-    then projects onto the intersection of the selected window.  Every
+    hyperplane {x : <a, x> = <a, p>} with a = iterate - projection (the
+    whole space when a is roundoff, see ROUNDOFF_STEP), and then projects
+    onto the intersection of the selected window.  Every
     recorded hyperplane contains the full intersection, so the window
     intersection is feasible in exact arithmetic.
     """

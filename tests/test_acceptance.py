@@ -124,20 +124,29 @@ def test_eigenvalue_reassignment():
 
 
 def test_solvers_match_direct_projection():
-    worst = 0.0
+    """map, and alg1 and alg2 under All(), LastQ(2), LastQ(3) and LastQ(5).
+    The short windows matter: a one-row set's recorded hyperplane is the
+    set itself, so a later projection onto it moves the iterate only by
+    roundoff, and that displacement must not enter a window as a live
+    hyperplane."""
+    policies = (All(), LastQ(2), LastQ(3), LastQ(5))
+    worst, where = 0.0, None
     for seed in range(50):
         sets, x0, _ = _sample_family(seed)
         p = direct_projection(as_point(x0), stack(sets))
-        for r in (run_map(sets, x0, stop=STOP),
-                  run_alg1(sets, x0, policy=All(), stop=STOP),
-                  run_alg2(sets, x0, policy=All(), stop=STOP)):
-            assert r.converged, (seed, r.stop_reason)
-            worst = max(worst, norm(r.solution - p))
+        runs = [("map", run_map(sets, x0, stop=STOP))]
+        runs += [(f"{run.__name__} {policy}", run(sets, x0, policy=policy, stop=STOP))
+                 for run in (run_alg1, run_alg2) for policy in policies]
+        for name, r in runs:
+            assert r.converged, (seed, name, r.stop_reason)
+            d = norm(r.solution - p)
+            if d > worst:
+                worst, where = d, (seed, name)
     ok = worst <= 1e-6
     print(f"[5] agreement with the direct least-squares projection over "
-          f"50 random families x 3 solvers: worst distance {worst:.3e} "
+          f"50 random families x 9 solver configurations: worst distance {worst:.3e} "
           f"(bound 1e-6) {_verdict(ok)}")
-    assert ok, worst
+    assert ok, (worst, where)
 
 
 def test_invariant_suite():

@@ -148,13 +148,6 @@ def test_random_spec_with_explicit_codims(capsys):
     assert "converged: True" in capsys.readouterr().out
 
 
-def test_condition_b_policy_flag_runs_as_all(capsys):
-    rc = main(["run", "--random", "dim=10,k=2,seed=0", "--alg", "alg1",
-               "--policy", "condition-b"])
-    assert rc == 0
-    assert "policy: All()" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("argv", [
     ["run"],                                            # no problem source
     ["run", "--experiment", "1", "--random", "dim=4,k=2,seed=0"],

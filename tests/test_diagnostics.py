@@ -279,7 +279,7 @@ def inconsistent_family(seed):
 def span_case(kind, seed):
     """(sets, x0, stop) of a family kind: Gaussian, Gaussian at stop_tol 0
     (whole-space entries), parallel planes (exact repeats, fallbacks), or
-    rows that meet nowhere (drop-half and full fallbacks)."""
+    rows that meet nowhere (inconsistent windows, every one a fallback)."""
     if kind == "random":
         return random_family(seed, dim=8, k=3, codim=2)[:2] + (StoppingRule(1e-10, 120),)
     if kind == "fixed-point":
@@ -300,7 +300,7 @@ def span_case(kind, seed):
 @example("fixed-point", run_alg2, All(), 0, 3.0)
 @example("parallel", run_alg1, All(), 0, 0.0)             # exact repeats, full fallbacks
 @example("parallel", run_alg1, LastQ(3), 0, 4.0)
-@example("inconsistent", run_alg1, All(), 0, 0.0)         # drop-half fallbacks
+@example("inconsistent", run_alg1, All(), 0, 0.0)         # fallbacks under All()
 @example("inconsistent", run_alg2, LastQ(4), 1, -7.0)
 def test_span_residuals_match_the_least_squares_reference(kind, runner, policy, seed, length):
     """The report's span residuals against reference_span_residual on every

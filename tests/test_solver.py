@@ -5,15 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affproj.cli import random_family as cli_random_family
 from affproj.diagnostics import check_fejer, step_decompositions
 from affproj.linalg import TOL_FEAS, GramFactor, inner, lstsq_min_norm, norm
 from affproj.oracle import direct_projection, stack
 from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleIntersectionError,
                           InfeasibleSetError, RowConstraintSet,
                           project_hyperplane_intersection)
-from affproj.solver import (All, ConditionB, CyclicSchedule, HyperplaneBuffer,
-                            LastQ, StoppingRule, _correct, lift_start,
-                            run_alg1, run_alg2, run_map)
+from affproj.solver import (All, CyclicSchedule, HyperplaneBuffer, LastQ,
+                            StoppingRule, _correct, lift_start, run_alg1, run_alg2,
+                            run_map)
 
 
 def two_lines():
@@ -162,16 +163,16 @@ def test_full_window_matches_direct_projection():
     assert norm(r.solution - oracle) < 1e-6
 
 
-def test_condition_b_policy_selects_like_all():
-    sets, x0, _ = random_family(31)
-    r_all = run_alg1(sets, x0, policy=All(), stop=StoppingRule(1e-10, 40))
-    r_cb = run_alg1(sets, x0, policy=ConditionB(), stop=StoppingRule(1e-10, 40))
-    np.testing.assert_array_equal(r_all.solution, r_cb.solution)
-    assert r_all.selected_history == r_cb.selected_history
-
-
-def test_condition_b_is_all():
-    assert ConditionB is All
+def test_roundoff_displacement_opens_no_window():
+    """Set 0 is one row, so the hyperplane recorded by projecting onto it is
+    set 0 itself.  Every later projection onto set 0 moves the iterate only
+    by roundoff.  Recorded as a live hyperplane, that displacement would open
+    a LastQ(3) window with a meaningless normal and pull the run along C - C,
+    away from the direct projection."""
+    sets, x0, _ = cli_random_family(6, 3, [1, 2, 2], 0)
+    r = run_alg1(sets, x0, policy=LastQ(3), stop=StoppingRule(1e-10, 10000))
+    assert r.converged
+    assert norm(r.solution - direct_projection(x0, stack(sets))) <= 1e-6
 
 
 # -- easy-set acceleration ---------------------------------------------------
@@ -530,16 +531,22 @@ def test_buffer_rejects_nonpositive_window():
         LastQ(0)
 
 
-def test_inconsistent_window_drops_oldest_and_warns():
-    buf = HyperplaneBuffer(All())
+@pytest.mark.parametrize("policy", [All(), LastQ(3)])
+def test_inconsistent_window_skips_the_correction_and_warns(policy):
+    """A window whose newest hyperplanes are consistent with each other is
+    still skipped whole: the point stays, the whole window is recorded with
+    no coefficients, and one warning names the correction."""
+    buf = HyperplaneBuffer(policy)
     buf.append(Hyperplane([1.0, 0.0, 0.0], 0.0), 0)
     buf.append(Hyperplane([2.0, 0.0, 0.0], 1.0), 1)  # parallel, incompatible
     cur = buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 0)
     warnings = []
-    p, selected, lam = _correct(np.array([5.0, 5.0, 5.0]), buf, cur, warnings)
-    assert warnings and "dropped oldest" in warnings[0]
-    # the retained window is consistent and was actually projected onto
-    assert abs(p[1]) < 1e-12
+    x = np.array([5.0, 5.0, 5.0])
+    p, selected, lam = _correct(x, buf, cur, warnings)
+    np.testing.assert_array_equal(p, x)
+    assert selected == [0, 1, 2] and lam.size == 0
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"correction {cur}: ") and "fell back" in warnings[0]
 
 
 def test_unresolvable_window_falls_back_to_unmoved_point():
@@ -577,20 +584,14 @@ def stacked_intersection_step(x, hyperplanes):
 
 
 def stacked_correct(x, buffer, current, warnings):
-    """The former solver._correct, over stacked_intersection_step."""
+    """solver._correct over stacked_intersection_step."""
     selected = buffer.select(current)
     try:
         p, lam = stacked_intersection_step(x, [buffer.generated[j][1] for j in selected])
     except InfeasibleIntersectionError:
-        selected = selected[len(selected) // 2:]
-        try:
-            p, lam = stacked_intersection_step(x, [buffer.generated[j][1] for j in selected])
-            warnings.append(f"correction {current}: dropped oldest hyperplanes after "
-                            "an inconsistent intersection")
-        except InfeasibleIntersectionError:
-            warnings.append(f"correction {current}: intersection still inconsistent, "
-                            "fell back to the uncorrected iterate")
-            return x.copy(), selected, np.zeros(0)
+        warnings.append(f"correction {current}: inconsistent intersection, "
+                        "fell back to the uncorrected iterate")
+        return x.copy(), selected, np.zeros(0)
     return p, selected, lam
 
 
@@ -666,23 +667,23 @@ def test_stored_factor_correction_matches_stacked_reference(policy, dim, kinds, 
 
 
 @pytest.mark.parametrize("policy", [All(), LastQ(4)])
-@pytest.mark.parametrize("rows,warning", [
-    # parallel, incompatible pair, then a fresh normal: the newer half is consistent
-    ([([1.0, 0.0, 0.0], 0.0), ([2.0, 0.0, 0.0], 1.0), ([0.0, 1.0, 0.0], 0.0)], "dropped oldest"),
+@pytest.mark.parametrize("rows", [
+    # parallel, incompatible pair, then a fresh normal
+    [([1.0, 0.0, 0.0], 0.0), ([2.0, 0.0, 0.0], 1.0), ([0.0, 1.0, 0.0], 0.0)],
     # the same pair, then a fresh normal and a whole-space current entry
-    ([([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
-      ([0.0, 0.0, 0.0], 0.0)], "dropped oldest"),
-    # two incompatible pairs, one in each half
-    ([([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
-      ([2.0, 0.0, 0.0], 1.0)], "fell back"),
+    [([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
+     ([0.0, 0.0, 0.0], 0.0)],
+    # two incompatible pairs
+    [([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
+     ([2.0, 0.0, 0.0], 1.0)],
 ])
-def test_fallbacks_match_stacked_reference(policy, rows, warning):
+def test_fallbacks_match_stacked_reference(policy, rows):
     buf = HyperplaneBuffer(policy)
     for a, b in rows:
         cur = buf.append(Hyperplane(a, b), 0)
     warnings = []
     _correct(np.array([5.0, 5.0, 5.0]), buf, cur, warnings)
-    assert len(warnings) == 1 and warning in warnings[0]
+    assert len(warnings) == 1 and "fell back" in warnings[0]
     assert_matches_stacked_reference(np.array([5.0, 5.0, 5.0]), buf, cur)
 
 
@@ -708,18 +709,26 @@ def test_factor_keeps_a_short_row_that_a_later_long_row_would_cut():
     assert abs(a1 @ q - a1 @ z) > 0.1
 
 
-@pytest.mark.parametrize("iterations", [50, 200])
-def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch, iterations):
+@pytest.mark.parametrize("iterations,parallel", [(50, False), (200, False), (200, True)],
+                         ids=["50", "200", "200-parallel"])
+def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch, iterations,
+                                                                    parallel):
     """alg1 All() at stop_tol 0 on three one-row sets in dim 4 sits at its
     fixed point for most of the run.  Each live hyperplane gets one Gram
     row, each correction grows the factor by at most one row, and nothing
-    is factored afresh."""
+    is factored afresh.
+
+    With parallel, the first two sets are one row with offsets 0 and 1, so
+    the sets do not meet.  Every window from the second correction on holds
+    both of their hyperplanes and is skipped with one warning, still
+    without a fresh factor."""
     rng = np.random.default_rng(0)
     z = rng.standard_normal(4)
     sets = []
-    for _ in range(3):
-        C = rng.standard_normal((1, 4))
-        sets.append(RowConstraintSet(C, C @ z))
+    for j in range(3):
+        C = sets[0].C if parallel and j == 1 else rng.standard_normal((1, 4))
+        d = [float(j)] if parallel and j < 2 else C @ z
+        sets.append(RowConstraintSet(C, d))
     x0 = rng.standard_normal(4)
     rows, ranks, refactors = [], [], []
     append, of = GramFactor.append, GramFactor.of.__func__
@@ -737,7 +746,10 @@ def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch,
     monkeypatch.setattr(GramFactor, "of", classmethod(counted_of))
     r = run_alg1(sets, x0, policy=All(), stop=StoppingRule(0.0, 2 * iterations))
     live = sum(not h.is_whole_space() for _, h in r.generated)
-    assert r.iterations == iterations and not r.warnings
+    assert r.iterations == iterations
+    skipped = range(1, iterations) if parallel else []
+    assert [w.split(":")[0] for w in r.warnings] == [f"correction {j}" for j in skipped]
+    assert all("fell back" in w for w in r.warnings)
     assert rows == list(range(1, live + 1))
     assert all(b - a in (0, 1) for a, b in zip([0] + ranks, ranks)) and ranks[-1] <= 4
     assert refactors == []
