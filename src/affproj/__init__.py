@@ -7,29 +7,25 @@ family built on top of them.
 """
 
 from .diagnostics import (ConditionReport, IterationRecord, check_b_prime, check_condition_b,
-                          check_fejer, condition_report, step_decompositions)
+                          condition_report, step_decompositions)
 from .linalg import gram_solve, inner, lstsq_min_norm, norm
 from .oracle import StackedConstraints, UnsupportedSetError, direct_projection, stack
 from .sets import (AffineSet, CustomSet, Hyperplane, HyperplaneSet,
                    InfeasibleIntersectionError, InfeasibleSetError,
                    RowConstraintSet, project_hyperplane,
-                   project_hyperplane_intersection, project_row_constraint,
-                   residual)
-from .solver import (All, CyclicSchedule, HyperplaneBuffer, LastQ, SolveResult,
-                     StoppingRule, WindowPolicy, lift_start, run_alg1, run_alg2,
+                   project_hyperplane_intersection)
+from .solver import (All, LastQ, SolveResult, StoppingRule, WindowPolicy, run_alg1, run_alg2,
                      run_map)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSet", "All", "ConditionReport", "CustomSet",
-    "CyclicSchedule", "Hyperplane", "HyperplaneBuffer", "HyperplaneSet",
+    "AffineSet", "All", "ConditionReport", "CustomSet", "Hyperplane", "HyperplaneSet",
     "InfeasibleIntersectionError", "InfeasibleSetError", "IterationRecord",
     "LastQ", "RowConstraintSet", "SolveResult", "StackedConstraints",
     "StoppingRule", "UnsupportedSetError", "WindowPolicy",
-    "check_b_prime", "check_condition_b", "check_fejer", "condition_report",
-    "direct_projection", "gram_solve", "inner", "lift_start",
-    "lstsq_min_norm", "norm", "project_hyperplane",
-    "project_hyperplane_intersection", "project_row_constraint", "residual",
+    "check_b_prime", "check_condition_b", "condition_report",
+    "direct_projection", "gram_solve", "inner", "lstsq_min_norm", "norm",
+    "project_hyperplane", "project_hyperplane_intersection",
     "run_alg1", "run_alg2", "run_map", "stack", "step_decompositions",
 ]

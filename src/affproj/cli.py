@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,8 +20,8 @@ from .diagnostics import condition_report
 from .linalg import norm
 from .oracle import UnsupportedSetError, direct_projection, stack
 from .sets import AffineSet, InfeasibleSetError, RowConstraintSet
-from .solver import (All, CyclicSchedule, LastQ, SolveResult, StoppingRule,
-                     WindowPolicy, run_alg1, run_alg2, run_map)
+from .solver import (All, LastQ, SolveResult, StoppingRule, WindowPolicy, run_alg1,
+                     run_alg2, run_map)
 
 THRESHOLDS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
@@ -104,25 +103,12 @@ def _load_problem(args) -> Problem:
         prob, _ = mmup.load_problem_json(args.problem)
         return Problem(prob.sets, prob.flatten(prob.x0), args.problem, prob=prob)
     dim, k, codims, seed = _parse_random_spec(args.random)
-    env_seed = os.environ.get("AFFPROJ_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     sets, x0, member = random_family(dim, k, codims, seed)
     return Problem(sets, x0, f"random(dim={dim},k={k},seed={seed})", member=member)
 
 
-def _make_policy(args) -> WindowPolicy:
-    name = getattr(args, "policy", None)
-    q = getattr(args, "q", None)
-    if name is None:
-        return LastQ(q) if q is not None else All()
-    if name == "lastq":
-        if q is None:
-            raise ValueError("--policy lastq requires --q")
-        return LastQ(q)
-    if name == "all":
-        return All()
-    raise ValueError(f"unknown policy {name!r}")
+def _policy(q: Optional[int]) -> WindowPolicy:
+    return LastQ(q) if q is not None else All()
 
 
 def _solve(problem: Problem, alg: str, policy: WindowPolicy,
@@ -167,7 +153,7 @@ def _oracle_point(problem: Problem) -> np.ndarray:
 
 def cmd_run(args) -> int:
     problem = _load_problem(args)
-    policy = _make_policy(args)
+    policy = _policy(args.q)
     stop = StoppingRule(stop_tol=args.stop_tol, max_iter=args.max_iter)
     oracle_point = _oracle_point(problem) if args.oracle else None
     result = _solve(problem, args.alg, policy, stop)
@@ -219,9 +205,10 @@ def _parse_bench_config(text: str) -> Tuple[str, Optional[int]]:
 
 
 def cmd_bench(args) -> int:
-    if args.experiment is None:
-        raise ValueError("bench needs --experiment (thresholds count V-projections)")
     problem = _load_problem(args)
+    if not problem.is_pencil:
+        raise ValueError("bench needs --experiment or --problem (thresholds count "
+                         "V-projections)")
     stop = StoppingRule(stop_tol=args.stop_tol, max_iter=args.max_iter)
     thresholds = ([float(t) for t in args.thresholds.split(",")]
                   if args.thresholds else list(THRESHOLDS))
@@ -229,8 +216,7 @@ def cmd_bench(args) -> int:
     out.write("algorithm,q,threshold,v_projections\n")
     for text in args.config:
         alg, q = _parse_bench_config(text)
-        policy = LastQ(q) if q is not None else All()
-        result = _solve(problem, alg, policy, stop)
+        result = _solve(problem, alg, _policy(q), stop)
         for t in thresholds:
             count = mmup.v_projections_to_threshold(problem.prob, result, t)
             out.write(f"{alg},{'' if q is None else q},{float(t)},"
@@ -253,7 +239,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = _load_problem(args)
-    policy = _make_policy(args)
+    policy = _policy(args.q)
     stop = StoppingRule(stop_tol=args.stop_tol, max_iter=args.max_iter)
     result = _solve(problem, args.alg, policy, stop)
     m = problem.member
@@ -297,8 +283,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alg", choices=("map", "alg1", "alg2"), default="map")
-    p.add_argument("--q", type=int, default=None, help="window size (implies lastq)")
-    p.add_argument("--policy", choices=("lastq", "all"), default=None)
+    p.add_argument("--q", type=int, default=None, help="window LastQ(N); All() without it")
     p.add_argument("--stop-tol", dest="stop_tol", type=float, default=1e-10)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=10000)
 

@@ -62,20 +62,15 @@ class ConditionReport:
     sum_of_squares: List[float]  # running, non-decreasing
 
 
-def check_fejer(points: Sequence[np.ndarray], m) -> float:
-    """Worst increase of distance to m along consecutive points.
-
-    Returns max(||x_{i+1} - m|| - ||x_i - m||); non-positive on a
-    correct run up to roundoff (<= 1e-9 in the test suites).  m must be
-    a verified member of the intersection.
-    """
-    return count_fejer_violations(points, m)[1]
+FEJER_TOL = 1e-9  # a larger increase of the distance to the member is a violation
 
 
-def count_fejer_violations(points: Sequence[np.ndarray], m, tol: float = 1e-9):
-    """(number of consecutive pairs with increase > tol, worst margin).
+def count_fejer_violations(points: Sequence[np.ndarray], m):
+    """(number of consecutive pairs with increase > FEJER_TOL, worst margin).
 
-    Raises ValueError when m and a point differ in dimension."""
+    The worst margin is max(||x_{i+1} - m|| - ||x_i - m||), non-positive on
+    a correct run up to roundoff; m must be a verified member of the
+    intersection.  Raises ValueError when m and a point differ in dimension."""
     m = as_point(m)
     pts = list(points)
     for p in pts:
@@ -86,7 +81,7 @@ def count_fejer_violations(points: Sequence[np.ndarray], m, tol: float = 1e-9):
         return 0, 0.0
     dists = [norm(np.asarray(p) - m) for p in pts]
     margins = [b - a for a, b in zip(dists[:-1], dists[1:])]
-    return sum(1 for g in margins if g > tol), max(margins)
+    return sum(1 for g in margins if g > FEJER_TOL), max(margins)
 
 
 def check_condition_b(x0, x_i, normals: Sequence[np.ndarray]) -> float:
@@ -201,8 +196,7 @@ def running_sum_of_squares(decompositions) -> List[float]:
     return out
 
 
-def condition_report(result, m: Optional[np.ndarray] = None,
-                     fejer_tol: float = 1e-9) -> ConditionReport:
+def condition_report(result, m: Optional[np.ndarray] = None) -> ConditionReport:
     """Assemble the monitors for a finished run.
 
     m is a certified member of the intersection; when omitted the
@@ -218,7 +212,7 @@ def condition_report(result, m: Optional[np.ndarray] = None,
     and O(q^2 n) under LastQ(q), in dimension n.
     """
     if m is not None:
-        viol, worst = count_fejer_violations(result.points(), m, tol=fejer_tol)
+        viol, worst = count_fejer_violations(result.points(), m)
     else:
         viol, worst = 0, 0.0
     start = _span_start(result)

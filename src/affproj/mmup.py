@@ -40,7 +40,7 @@ __all__ = [
     "extract_update", "pencil_eigenvalues",
     "experiment1", "experiment2",
     "residual_by_v_projection", "v_projections_to_threshold",
-    "load_matrix_csv", "load_problem_json",
+    "load_problem_json",
 ]
 
 
@@ -403,9 +403,8 @@ def experiment2() -> Tuple[MmupProblem, PencilData]:
 
 # -- trace utilities -------------------------------------------------------
 
-def residual_by_v_projection(prob: MmupProblem, result,
-                             v_set_index: int = 1) -> List[float]:
-    """Constraint residual as a function of V-projection count.
+def residual_by_v_projection(prob: MmupProblem, result) -> List[float]:
+    """Constraint residual as a function of V-projection count (set 1).
 
     Entry m is the residual of the last main iterate produced while the
     total number of projections onto V was m; entry 0 is the starting
@@ -416,8 +415,7 @@ def residual_by_v_projection(prob: MmupProblem, result,
     v = 0
     for _, group in groupby(result.trace, key=lambda r: r.index):
         g = list(group)
-        v += sum(1 for r in g
-                 if r.phase == "set-projection" and r.set_index == v_set_index)
+        v += sum(1 for r in g if r.phase == "set-projection" and r.set_index == 1)
         values[v] = pencil_residual(prob, g[-1].point)
     out = []
     last = values[0]
@@ -427,10 +425,9 @@ def residual_by_v_projection(prob: MmupProblem, result,
     return out
 
 
-def v_projections_to_threshold(prob: MmupProblem, result, threshold: float,
-                               v_set_index: int = 1) -> Optional[int]:
+def v_projections_to_threshold(prob: MmupProblem, result, threshold: float) -> Optional[int]:
     """Smallest V-projection count whose residual is <= threshold."""
-    series = residual_by_v_projection(prob, result, v_set_index)
+    series = residual_by_v_projection(prob, result)
     for m, val in enumerate(series):
         if val <= threshold:
             return m
@@ -438,11 +435,6 @@ def v_projections_to_threshold(prob: MmupProblem, result, threshold: float,
 
 
 # -- ingestion --------------------------------------------------------------
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a dense matrix from comma-separated plain text."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
 
 def load_problem_json(path) -> Tuple[MmupProblem, PencilData]:
     """Build a problem from a JSON file.

@@ -72,15 +72,6 @@ def project_hyperplane(x, h: Hyperplane) -> np.ndarray:
     return x + ((h.offset - float(np.dot(a, x))) / nn) * a
 
 
-def project_row_constraint(x, C, d) -> np.ndarray:
-    """Exact projection onto {x : C x = d}; see RowConstraintSet.
-
-    Raises ValueError on dimension mismatches and InfeasibleSetError when
-    the system is inconsistent.
-    """
-    return RowConstraintSet(C, d).project(x)
-
-
 def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: GramFactor):
     """Project x onto {y : <a_j, y> = b_j for j in rows}, the rows of A
     (normals) and b (offsets) listed by rows, given the GramFactor of those
@@ -252,7 +243,3 @@ class CustomSet(AffineSet):
             return None
         return self._rows_fn()
 
-
-def residual(s: AffineSet, x) -> float:
-    """Distance from x to the set, ||x - P(x)||."""
-    return s.residual(x)

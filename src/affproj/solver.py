@@ -150,25 +150,6 @@ class HyperplaneBuffer:
 
 
 @dataclass
-class CyclicSchedule:
-    """Fixed repeating order of set indices.
-
-    The drivers require it to visit every set of the family and no other
-    (under run_alg2 every set but the easy set 0), so each set is
-    revisited within len(order) iterations.
-    """
-
-    order: List[int]
-
-    def __post_init__(self):
-        if not self.order:
-            raise ValueError("schedule order is empty")
-
-    def index_at(self, i: int) -> int:
-        return self.order[i % len(self.order)]
-
-
-@dataclass
 class StoppingRule:
     """Stop when every set residual is <= stop_tol, or at the first
     iteration boundary with at least max_iter projection sub-steps.
@@ -178,6 +159,8 @@ class StoppingRule:
     An iteration is one sub-step under run_map, two under run_alg1 and
     three under run_alg2, whose starting lift counts as one more; so
     run_alg1 may make max_iter + 1 sub-steps and run_alg2 max_iter + 2.
+    The residual to the next set in the fixed cyclic order is read off
+    that set's projection, which the next iteration reuses.
     """
 
     stop_tol: float = 1e-10
@@ -214,15 +197,6 @@ class SolveResult:
         return [self.x0] + [r.point for r in self.trace]
 
 
-def lift_start(x0, m1: AffineSet) -> np.ndarray:
-    """Move the starting point into the designated easy set.
-
-    The projection onto the intersection is unchanged because the
-    correction is orthogonal to every translate of the easy set.
-    """
-    return m1.project(as_point(x0))
-
-
 def _correct(x: np.ndarray, buffer: HyperplaneBuffer, current: int,
              warnings: List[str]):
     """Hyperplane-window correction, or none at all.
@@ -256,15 +230,17 @@ def _record(index, phase, set_index, point, step):
 
 
 def _first_step(sets, l, x):
+    """(p, d, ||d||) with p = P_l(x) and d = x - p."""
     p = sets[l].project(x)
-    return p, norm(p - x)
+    d = x - p
+    return p, d, norm(d)
 
 
 def _check(sets, x, l, skip, stop_tol):
     """(met, _first_step(sets, l, x)), with that step as x's residual to set l
     and set skip (None: none) not checked; ValueError names a non-finite one."""
     ahead = _first_step(sets, l, x)
-    checked = [(l, ahead[1])] + [(j, s.residual(x)) for j, s in enumerate(sets)
+    checked = [(l, ahead[2])] + [(j, s.residual(x)) for j, s in enumerate(sets)
                                  if j not in (l, skip)]
     for j, r in checked:
         if not math.isfinite(r):
@@ -272,21 +248,21 @@ def _check(sets, x, l, skip, stop_tol):
     return max(r for _, r in checked) <= stop_tol, ahead
 
 
-def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
-           lift=None) -> SolveResult:
+def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveResult:
     """The iteration loop of the three drivers.
 
+    Iteration i (from 0) starts at set cycle[i % len(cycle)], where cycle
+    is every set index in order, or every one but 0 under a lift.
     path(sets, l, p) gives the projections of an iteration from x, the
     first being p = P_l(x), as (phase, set index, point) triples; without
-    support, their end is the next iterate.  support(x, path, i, warnings)
-    gives the recorded hyperplane as a normal (None: the whole space) and
-    a point on it, and the window correction of the path's end is the next
-    iterate; its window and coefficients are only stored, for diagnostics.
-    lift is the set the start is first projected onto; the schedule must
-    then skip it (set 0).  A schedule that names a set outside the family,
-    or never visits one it should, raises ValueError before any projection.
-    policy is the window policy of an accelerated run; every whole-space
-    hyperplane of the run is one shared record.
+    support, their end is the next iterate.  support(x, path, d, step, i,
+    warnings), with d = x - p and step = ||d||, gives the recorded
+    hyperplane as a normal (None: the whole space) and a point on it, and
+    the window correction of the path's end is the next iterate; its window
+    and coefficients are only stored, for diagnostics.  lift is the set the
+    start is first projected onto (set 0).  An empty family raises
+    ValueError.  policy is the window policy of an accelerated run; every
+    whole-space hyperplane of the run is one shared record.
 
     Each main iterate is checked once, by _check, inside the iteration
     that made it (one that raises InfeasibleSetError records nothing).
@@ -301,12 +277,10 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
     benchmark's peak RSS from about 345 to 355 MB, and freeing that point
     at once raised alg2's max RSS from 110 to 120 MB (heap fragmentation).
     """
+    if not sets:
+        raise ValueError("the family has no sets")
     start = as_point(x0).copy()
-    wanted = range(int(lift is not None), len(sets))
-    schedule = schedule or CyclicSchedule(list(wanted))
-    if set(schedule.order) != set(wanted):
-        raise ValueError(f"schedule {schedule.order} must visit each of sets "
-                         f"{list(wanted)} and no other")
+    cycle = range(int(lift is not None), len(sets))
     stop = stop or StoppingRule()
     if support is not None:
         buffer = HyperplaneBuffer(policy)
@@ -314,12 +288,12 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
     trace, warnings, selected_history, coefficients = [], [], [], []
     i = substeps = 0
     reason = "max-iter"
-    x, ahead = start.copy(), None  # ahead: the next iteration's (p, step), from _check
+    x, ahead = start.copy(), None  # ahead: the next iteration's _first_step, from _check
     if lift is not None:
         substeps = 1
         try:
-            lifted = lift_start(start, lift)
-            met, ahead = _check(sets, lifted, schedule.index_at(0), 0, stop.stop_tol)
+            lifted = lift.project(start)
+            met, ahead = _check(sets, lifted, cycle[0], 0, stop.stop_tol)
         except InfeasibleSetError as e:
             warnings.append(f"starting lift: {e}")
             reason = "infeasible"
@@ -329,20 +303,21 @@ def _drive(sets, x0, schedule, stop, path, support=None, policy=None,
             if met:
                 reason = "residual-met"
     while reason == "max-iter" and substeps < stop.max_iter:
-        l = schedule.index_at(i)
+        l = cycle[i % len(cycle)]
         noted = len(warnings)
         try:
-            p, step = ahead or _first_step(sets, l, x)
+            p, d, step = ahead or _first_step(sets, l, x)
             steps = path(sets, l, p)
             records = [_record(i + 1, *steps[0], step)]
             records += [_record(i + 1, *b, norm(b[2] - a[2])) for a, b in zip(steps, steps[1:])]
             xn = end = steps[-1][2]
             if support is not None:
-                normal, through = support(x, steps, i + 1, warnings)
+                normal, through = support(x, steps, d, step, i + 1, warnings)
                 h = whole if normal is None else Hyperplane(normal, inner(normal, through))
                 cur = buffer.append(h, l)
                 xn, selected, lam = _correct(xn, buffer, cur, warnings)
-            met, ahead = _check(sets, xn, schedule.index_at(i + 1),
+            d = ahead = None  # kept alive through _check, d slowed pencil map_s by 11%
+            met, ahead = _check(sets, xn, cycle[(i + 1) % len(cycle)],
                                 l if support is None else None, stop.stop_tol)
         except InfeasibleSetError as e:
             del warnings[noted:]
@@ -382,13 +357,12 @@ def _composite_projection(sets, l, p):
 ROUNDOFF_STEP = 64 * np.finfo(float).eps
 
 
-def _displacement_hyperplane(x, path, i, warnings):
-    a = x - path[0][2]
-    return (a if norm(a) > ROUNDOFF_STEP * max(1.0, norm(x)) else None), path[0][2]
+def _displacement_hyperplane(x, path, d, step, i, warnings):
+    return (d if step > ROUNDOFF_STEP * max(1.0, norm(x)) else None), path[0][2]
 
 
-def _composite_hyperplane(x, path, i, warnings):
-    xp, xpp = path[0][2], path[1][2]
+def _composite_hyperplane(x, path, d, step, i, warnings):
+    xpp = path[1][2]
     a = x - xpp
     nn = norm(a)
     if nn <= TOL_LIN:
@@ -396,34 +370,30 @@ def _composite_hyperplane(x, path, i, warnings):
         warnings.append(f"iteration {i}: degenerate composite step "
                         f"(displacement {nn:.3e}), recorded whole-space hyperplane")
         return None, None
-    t = inner(x - xp, x - xp) / inner(a, a)
+    t = inner(d, d) / inner(a, a)
     return a, x + t * (xpp - x)
 
 
-def run_map(sets: Sequence[AffineSet], x0, schedule: Optional[CyclicSchedule] = None,
-            stop: Optional[StoppingRule] = None) -> SolveResult:
+def run_map(sets: Sequence[AffineSet], x0, stop: Optional[StoppingRule] = None) -> SolveResult:
     """Cyclic exact projections onto each set in turn."""
-    return _drive(sets, x0, schedule, stop, _set_projection)
+    return _drive(sets, x0, stop, _set_projection)
 
 
 def run_alg1(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
-             schedule: Optional[CyclicSchedule] = None,
              stop: Optional[StoppingRule] = None) -> SolveResult:
     """Projections with supporting-hyperplane corrections.
 
-    Each iteration projects onto the scheduled set, records the
-    hyperplane {x : <a, x> = <a, p>} with a = iterate - projection (the
+    Each iteration projects onto the next set in the cyclic order, records
+    the hyperplane {x : <a, x> = <a, p>} with a = iterate - projection (the
     whole space when a is roundoff, see ROUNDOFF_STEP), and then projects
     onto the intersection of the selected window.  Every
     recorded hyperplane contains the full intersection, so the window
     intersection is feasible in exact arithmetic.
     """
-    return _drive(sets, x0, schedule, stop, _set_projection, _displacement_hyperplane,
-                  policy)
+    return _drive(sets, x0, stop, _set_projection, _displacement_hyperplane, policy)
 
 
 def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
-             schedule: Optional[CyclicSchedule] = None,
              stop: Optional[StoppingRule] = None) -> SolveResult:
     """Accelerated projections that keep every main iterate in sets[0].
 
@@ -436,5 +406,5 @@ def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
     """
     if len(sets) < 2:
         raise ValueError("need at least two sets (an easy set plus one more)")
-    return _drive(sets, x0, schedule, stop, _composite_projection, _composite_hyperplane,
+    return _drive(sets, x0, stop, _composite_projection, _composite_hyperplane,
                   policy, lift=sets[0])

@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from affproj import mmup
 from affproj.cli import random_family
-from affproj.diagnostics import check_b_prime, check_fejer, step_decompositions
+from affproj.diagnostics import check_b_prime, count_fejer_violations, step_decompositions
 from affproj.linalg import as_point, inner, norm
 from affproj.oracle import direct_projection, stack
 from affproj.sets import (Hyperplane, HyperplaneSet, RowConstraintSet,
@@ -163,7 +163,7 @@ def test_invariant_suite():
         r_1 = run_alg1(sets, x0, policy=All(), stop=STOP)
         r_2 = run_alg2(sets, x0, policy=All(), stop=STOP)
         for r in (r_map, r_1, r_2):
-            worst_fejer = max(worst_fejer, check_fejer(r.points(), m))
+            worst_fejer = max(worst_fejer, count_fejer_violations(r.points(), m)[1])
         for rec in r_2.trace:
             if rec.phase in ("m1-projection", "hyperplane-projection"):
                 worst_member = max(worst_member, sets[0].residual(rec.point))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,19 +54,6 @@ def test_run_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "t.csv"
-    spec = "dim=12,k=2,seed=0"
-    monkeypatch.setenv("AFFPROJ_SEED", "77")
-    assert main(["run", "--random", spec, "--output", str(out)]) == 0
-    assert "seed=77" in capsys.readouterr().out
-    overridden = out.read_bytes()
-    monkeypatch.delenv("AFFPROJ_SEED")
-    assert main(["run", "--random", spec, "--output", str(out)]) == 0
-    assert "seed=0" in capsys.readouterr().out
-    assert out.read_bytes() != overridden
-
-
 def test_run_with_monitors_and_oracle(capsys):
     rc = main(["run", "--experiment", "1", "--alg", "alg2", "--q", "3",
                "--monitors", "--oracle"])
@@ -104,6 +93,25 @@ def test_bench_requires_experiment(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bench_reads_a_problem_file(tmp_path):
+    """Experiment 1 written as JSON benches like --experiment 1."""
+    prob, pencil = mmup.experiment1()
+    (pair,) = prob.targets.pairs
+    doc = {"M": pencil.m.tolist(), "D": pencil.d.tolist(), "K": pencil.k.tolist(),
+           "targets": [{"mu_re": pair.mu.real, "mu_im": pair.mu.imag,
+                        "y_re": pair.y.real.tolist(), "y_im": pair.y.imag.tolist()}]}
+    path = tmp_path / "exp1.json"
+    path.write_text(json.dumps(doc))
+    outs = []
+    for source in (["--experiment", "1"], ["--problem", str(path)]):
+        out = tmp_path / f"bench{len(outs)}.csv"
+        assert main(["bench", *source, "--config", "map", "--config", "alg1:3",
+                     "--config", "alg2:3", "--output", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 3 * 5
+
+
 def test_bench_rejects_unknown_algorithm():
     assert main(["bench", "--experiment", "2", "--config", "sketchy:3"]) == 2
 
@@ -128,8 +136,7 @@ def test_verify_reports_ok(capsys):
 def test_verify_certifies_the_full_window(capsys, alg):
     """alg2's span condition is measured from its lifted start: from x0 its
     worst residual would be ||x0 - lift||, and verify would fail."""
-    rc = main(["verify", "--random", "dim=40,k=4,seed=97,codims=4:4:4:4", "--alg", alg,
-               "--policy", "all"])
+    rc = main(["verify", "--random", "dim=40,k=4,seed=97,codims=4:4:4:4", "--alg", alg])
     out = capsys.readouterr().out
     assert rc == 0 and "status: ok" in out
     worst = float(out.split("span-condition residual: worst ")[1].split()[0])
@@ -151,7 +158,7 @@ def test_random_spec_with_explicit_codims(capsys):
 @pytest.mark.parametrize("argv", [
     ["run"],                                            # no problem source
     ["run", "--experiment", "1", "--random", "dim=4,k=2,seed=0"],
-    ["run", "--random", "dim=10,k=2,seed=0", "--policy", "lastq"],
+    ["run", "--random", "dim=10,k=2,seed=0", "--q", "0"],   # no LastQ(0) window
     ["run", "--random", "dim=4,k=2,codims=3:3,seed=0"],  # over-budget codims
     ["run", "--random", "dim=10,k=2"],                   # missing seed is fine...
 ])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from affproj import linalg
 from affproj.diagnostics import (StepDecomposition, check_b_prime, check_condition_b,
-                                 check_fejer, condition_report, count_fejer_violations,
+                                 condition_report, count_fejer_violations,
                                  running_sum_of_squares, step_decompositions)
 from affproj.linalg import RCOND, lstsq_min_norm, norm
 from affproj.oracle import direct_projection, stack
@@ -25,15 +25,15 @@ def random_family(seed, dim=10, k=3, codim=2):
 
 def test_fejer_constant_trace_has_zero_margin():
     p = np.array([1.0, 2.0])
-    assert check_fejer([p, p, p], [0.0, 0.0]) == 0.0
+    assert count_fejer_violations([p, p, p], [0.0, 0.0])[1] == 0.0
 
 
 def test_fejer_detects_a_corrupted_trace():
     m = np.zeros(2)
     good = [np.array([4.0, 0.0]), np.array([2.0, 0.0]), np.array([1.0, 0.0])]
-    assert check_fejer(good, m) <= 0.0
+    assert count_fejer_violations(good, m)[1] <= 0.0
     corrupted = [good[0], good[1], np.array([3.0, 0.0])]
-    assert check_fejer(corrupted, m) == pytest.approx(1.0)
+    assert count_fejer_violations(corrupted, m)[1] == pytest.approx(1.0)
     viol, worst = count_fejer_violations(corrupted, m)
     assert viol == 1 and worst == pytest.approx(1.0)
 
@@ -42,7 +42,7 @@ def test_fejer_nonpositive_on_alternating_projection_runs():
     sets, x0, member = random_family(1)
     r = run_map(sets, x0, stop=StoppingRule(1e-10, 2000))
     assert r.converged
-    assert check_fejer(r.points(), member) <= 1e-9
+    assert count_fejer_violations(r.points(), member)[1] <= 1e-9
 
 
 def test_condition_b_zero_when_nothing_moved():
@@ -365,10 +365,9 @@ def test_all_window_report_extends_its_basis_without_refactoring(monkeypatch, it
 @pytest.mark.parametrize("call", [
     lambda r: condition_report(r, np.array([0.5])),
     lambda r: count_fejer_violations(r.points(), [0.5]),
-    lambda r: check_fejer(r.points(), [0.5]),
     lambda r: check_condition_b(r.x0, [0.5], [r.generated[0][1].normal]),
     lambda r: check_condition_b(r.x0, r.solution, [np.ones(3)]),
-], ids=["condition_report", "count_fejer_violations", "check_fejer", "check_condition_b x_i",
+], ids=["condition_report", "count_fejer_violations", "check_condition_b x_i",
         "check_condition_b normal"])
 def test_a_wrong_dimension_raises_naming_both(call):
     sets, x0, _ = random_family(7)

@@ -8,7 +8,7 @@ from affproj.linalg import norm
 from affproj.mmup import (MmupProblem, PencilData, TargetPair, TargetSpectrum,
                           build_abc, build_problem, experiment1, experiment2,
                           export_rows_s, export_rows_v, extract_update,
-                          load_matrix_csv, load_problem_json,
+                          load_problem_json,
                           pencil_eigenvalues, pencil_residual, project_s,
                           project_v, residual_by_v_projection,
                           v_projections_to_threshold)
@@ -351,13 +351,6 @@ def test_small_instance_solver_matches_oracle():
 
 
 # -- file ingestion ------------------------------------------------------------
-
-def test_load_matrix_csv_round_trip(tmp_path):
-    M = np.arange(6.0).reshape(2, 3)
-    path = tmp_path / "m.csv"
-    np.savetxt(path, M, delimiter=",")
-    np.testing.assert_allclose(load_matrix_csv(path), M)
-
 
 def test_load_problem_json(tmp_path):
     M = [[2.0, 0.1], [0.1, 3.0]]

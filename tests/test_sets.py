@@ -8,8 +8,7 @@ from affproj.oracle import direct_projection, stack
 from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet,
                           InfeasibleIntersectionError, InfeasibleSetError,
                           RowConstraintSet, project_hyperplane,
-                          project_hyperplane_intersection,
-                          project_row_constraint, residual)
+                          project_hyperplane_intersection)
 
 
 def test_hyperplane_axis_aligned_projection():
@@ -41,19 +40,19 @@ def test_hyperplane_dimension_mismatch():
 
 
 def test_row_constraint_coordinate_plane():
-    p = project_row_constraint([3.0, 5.0], [[1.0, 0.0]], [0.0])
+    p = RowConstraintSet([[1.0, 0.0]], [0.0]).project([3.0, 5.0])
     np.testing.assert_allclose(p, [0.0, 5.0])
 
 
 def test_row_constraint_member_is_fixed():
     C = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
     x = np.array([2.0, 1.0, 3.0])
-    p = project_row_constraint(x, C, C @ x)
+    p = RowConstraintSet(C, C @ x).project(x)
     np.testing.assert_allclose(p, x, atol=1e-12)
 
 
 def test_row_constraint_single_row_equals_hyperplane():
-    p1 = project_row_constraint([0.0, 0.0], [[1.0, 1.0]], [2.0])
+    p1 = RowConstraintSet([[1.0, 1.0]], [2.0]).project([0.0, 0.0])
     p2 = project_hyperplane([0.0, 0.0], Hyperplane([1.0, 1.0], 2.0))
     np.testing.assert_allclose(p1, p2, atol=1e-12)
     np.testing.assert_allclose(p1, [1.0, 1.0], atol=1e-12)
@@ -61,7 +60,7 @@ def test_row_constraint_single_row_equals_hyperplane():
 
 def test_row_constraint_inconsistent_raises():
     with pytest.raises(InfeasibleSetError):
-        project_row_constraint([0.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+        RowConstraintSet([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0]).project([0.0, 0.0])
 
 
 def test_projection_idempotent_and_orthogonal_to_directions():
@@ -124,12 +123,12 @@ def test_intersection_membership_on_large_consistent_family():
 
 def test_residual_zero_for_member():
     s = RowConstraintSet([[1.0, 0.0]], [2.0])
-    assert residual(s, [2.0, 9.0]) == pytest.approx(0.0, abs=1e-12)
+    assert s.residual([2.0, 9.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_residual_distance_to_line():
     s = HyperplaneSet(Hyperplane([1.0, 0.0], 1.0))
-    assert residual(s, [2.0, 0.0]) == pytest.approx(1.0)
+    assert s.residual([2.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_residual_matches_projection_distance():
@@ -138,7 +137,7 @@ def test_residual_matches_projection_distance():
     d = rng.standard_normal(2)
     s = RowConstraintSet(C, d)
     x = rng.standard_normal(6)
-    assert residual(s, x) == pytest.approx(norm(x - s.project(x)))
+    assert s.residual(x) == pytest.approx(norm(x - s.project(x)))
 
 
 def test_custom_set_wraps_projector():
@@ -238,7 +237,7 @@ def test_factored_projection_matches_oracle(seed, kind):
     p = s.project(x)
     ref = direct_projection(x, stack([s]))
     assert norm(p - ref) <= (1e-12 + gram_roundoff(C)) * max(1.0, norm(x))
-    np.testing.assert_array_equal(project_row_constraint(x, C, d), p)
+    np.testing.assert_array_equal(RowConstraintSet(C, d).project(x), p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,8 +294,8 @@ def test_rows_of_very_different_lengths_are_consistent(seed):
 
 def test_row_constraint_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        project_row_constraint([1.0, 2.0, 3.0], [[1.0, 0.0]], [0.0])
+        RowConstraintSet([[1.0, 0.0]], [0.0]).project([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        project_row_constraint([1.0, 2.0], [[1.0, 0.0]], [0.0, 1.0])
+        RowConstraintSet([[1.0, 0.0]], [0.0, 1.0]).project([1.0, 2.0])
     with pytest.raises(ValueError):
         RowConstraintSet([[1.0, 0.0]], [0.0]).residual([1.0, 2.0, 3.0])

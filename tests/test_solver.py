@@ -6,15 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affproj.cli import random_family as cli_random_family
-from affproj.diagnostics import check_fejer, step_decompositions
+from affproj.diagnostics import count_fejer_violations, step_decompositions
 from affproj.linalg import TOL_FEAS, GramFactor, inner, lstsq_min_norm, norm
 from affproj.oracle import direct_projection, stack
 from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleIntersectionError,
                           InfeasibleSetError, RowConstraintSet,
                           project_hyperplane_intersection)
-from affproj.solver import (All, CyclicSchedule, HyperplaneBuffer, LastQ,
-                            StoppingRule, _correct, lift_start, run_alg1, run_alg2,
-                            run_map)
+from affproj.solver import (All, HyperplaneBuffer, LastQ, StoppingRule, _correct, run_alg1,
+                            run_alg2, run_map)
 
 
 def two_lines():
@@ -221,19 +220,13 @@ def test_easy_set_scheme_needs_two_sets():
         run_alg2([RowConstraintSet([[1.0, 0.0]], [0.0])], [1.0, 1.0])
 
 
-def test_easy_set_schedule_must_avoid_easy_set():
-    sets = two_lines()
-    with pytest.raises(ValueError):
-        run_alg2(sets, [1.0, 1.0], schedule=CyclicSchedule([0, 1]))
-
-
-def test_lift_start_lands_in_set_and_fixes_members():
+def test_starting_lift_lands_in_set_and_fixes_members():
     s = RowConstraintSet([[0.0, 1.0]], [0.0])
-    np.testing.assert_allclose(lift_start([1.0, 1.0], s), [1.0, 0.0])
-    np.testing.assert_allclose(lift_start([3.0, 0.0], s), [3.0, 0.0])
+    np.testing.assert_allclose(s.project([1.0, 1.0]), [1.0, 0.0])
+    np.testing.assert_allclose(s.project([3.0, 0.0]), [3.0, 0.0])
     rng = np.random.default_rng(8)
     x = rng.standard_normal(2)
-    assert s.residual(lift_start(x, s)) < 1e-12
+    assert s.residual(s.project(x)) < 1e-12
 
 
 def test_degenerate_composite_step_is_skipped_with_note():
@@ -337,16 +330,24 @@ def test_alg2_reports_infeasible_set(index):
     assert r.warnings
 
 
-# -- schedules, buffer, fallback ---------------------------------------------
+# -- cyclic order, buffer, fallback ------------------------------------------
 
-def test_schedule_cycles_in_order():
-    s = CyclicSchedule([2, 0, 1])
-    assert [s.index_at(i) for i in range(6)] == [2, 0, 1, 2, 0, 1]
+@pytest.mark.parametrize("runner,kwargs,order", [
+    (run_map, {}, [0, 1, 2, 0, 1, 2, 0]),
+    (run_alg1, {"policy": LastQ(2)}, [0, 1, 2, 0, 1, 2, 0]),
+    (run_alg2, {"policy": LastQ(2)}, [1, 2, 1, 2, 1, 2, 1]),  # set 0 is kept by the lift
+], ids=["run_map", "run_alg1", "run_alg2"])
+def test_drivers_visit_the_sets_in_fixed_cyclic_order(runner, kwargs, order):
+    sets, x0, _ = random_family(12, dim=6, k=3, codim=1)
+    r = runner(sets, x0, stop=StoppingRule(0.0, 30), **kwargs)
+    firsts = [rec.set_index for rec in r.trace if rec.phase == "set-projection"]
+    assert firsts[:len(order)] == order
 
 
-def test_schedule_rejects_empty_order():
-    with pytest.raises(ValueError):
-        CyclicSchedule([])
+@pytest.mark.parametrize("runner", [run_map, run_alg1])
+def test_an_empty_family_raises(runner):
+    with pytest.raises(ValueError, match="no sets"):
+        runner([], [1.0, 2.0])
 
 
 class ProjectionCountingSet(RowConstraintSet):
@@ -357,24 +358,6 @@ class ProjectionCountingSet(RowConstraintSet):
     def project(self, x):
         self.calls.append(1)
         return super().project(x)
-
-
-@pytest.mark.parametrize("runner,order", [
-    (run_map, [-1, 0, 1]),   # a negative index would wrap around to the last set
-    (run_map, [0, 1, 5]),    # out of range
-    (run_map, [0, 1]),       # set 2 is never projected onto
-    (run_alg1, [0, 1, 3]),
-    (run_alg1, [2, 1]),
-    (run_alg2, [1, 2, 0]),   # the easy set is kept by the lift, never scheduled
-    (run_alg2, [1, 1]),      # set 2 is never projected onto
-])
-def test_schedule_is_checked_against_the_family_before_any_projection(runner, order):
-    calls = []
-    family, x0, _ = random_family(12, dim=6, k=3, codim=1)
-    sets = [ProjectionCountingSet(s.C, s.d, calls) for s in family]
-    with pytest.raises(ValueError, match="schedule"):
-        runner(sets, x0, schedule=CyclicSchedule(order))
-    assert calls == []
 
 
 @pytest.mark.parametrize("q", [2.5, True, np.float64(3.0), "3"])
@@ -782,9 +765,9 @@ def test_distance_to_members_never_increases(runner, kwargs):
     sets, x0, member = random_family(61, dim=12, k=3, codim=2)
     r = runner(sets, x0, stop=StoppingRule(1e-10, 2000), **kwargs)
     assert r.converged
-    assert check_fejer(r.points(), member) <= 1e-9
+    assert count_fejer_violations(r.points(), member)[1] <= 1e-9
     oracle = direct_projection(x0, stack(sets))
-    assert check_fejer(r.points(), oracle) <= 1e-9
+    assert count_fejer_violations(r.points(), oracle)[1] <= 1e-9
 
 
 @pytest.mark.parametrize("runner,kwargs", [
