@@ -11,7 +11,7 @@ prove convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -116,45 +116,47 @@ def _span_start(result) -> np.ndarray:
 
 def _corrections(result):
     """For each correction of an accelerated run: a SpanBasis whose rows are
-    its window's nonzero normals, in window order, and its StepDecomposition
-    under run_alg1 (None under run_alg2).
+    its window's normals, in window order, and its StepDecomposition under
+    run_alg1 (None under run_alg2).
 
     One basis serves the whole pass and is reused, so read it before taking
-    the next correction.  A window whose nonzero entries extend the previous
-    window's (every window under All(), fallbacks included) adds only its
-    new rows.  Any other window (under LastQ) resets the basis and adds all
-    of its rows.
+    the next correction.  A window that starts where the previous one did
+    (every window under All(), fallbacks included) adds only its new rows.
+    Any other window (under LastQ) resets the basis and adds all of its rows.
     """
     history, generated = result.selected_history, result.generated
     if not history:
         return
-    dim = result.x0.shape[0]
-    basis = SpanBasis(dim, max(len(selected) for selected in history))
+    basis = SpanBasis(result.x0.shape[0], max(len(window) for window in history))
     alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
-    keys = []
-    for i, selected in enumerate(history):
-        # only a window's current (last) entry can be the whole space
-        window = selected[:-1] if generated[selected[-1]][1].is_whole_space() else selected
-        if window[:len(keys)] != keys:
+    owners = np.array([k for k, _ in generated], dtype=np.intp)
+    start = stop = 0  # the previous window's bounds
+    for i, window in enumerate(history):
+        own = window.stop > stop  # iteration i + 1 found generated[window.stop - 1]
+        if window.start != start:
             basis.reset()
-            keys = []
-        basis.extend([generated[j][1].normal for j in window[len(keys):]])
-        keys = window
-        yield basis, (_alg1_decomposition(result, i, [generated[j][0] for j in window],
+            start = stop = window.start
+        basis.extend([generated[j][1].normal for j in range(stop, window.stop)])
+        stop = window.stop
+        yield basis, (_alg1_decomposition(result, i, own, owners[window.start:stop],
                                           basis.rows[:basis.size]) if alg1 else None)
 
 
-def _alg1_decomposition(result, i: int, set_indices, normals) -> StepDecomposition:
-    """Iteration i + 1 of run_alg1: the recorded normal (the set projection's
-    displacement), then the correction sum(lam_j a_j) split by the set that
-    generated each a_j; every normal is orthogonal to its set's directions."""
-    a = result.generated[i][1].normal
-    total = float(np.dot(a, a))
-    lam = result.coefficients[i]  # empty after a fallback to no correction
-    by_set = {}
-    for k, piece in zip(set_indices, normals[:lam.shape[0]] * lam[:, None]):
-        by_set[k] = by_set[k] + piece if k in by_set else piece
-    total += float(sum(np.dot(v, v) for v in by_set.values()))
+def _alg1_decomposition(result, i: int, own: bool, owners, normals) -> StepDecomposition:
+    """Iteration i + 1 of run_alg1: the normal it found, its set projection's
+    displacement (the window's last normal when own, else none), then the
+    correction sum(lam_j a_j) over the window's normals, split by owners,
+    the sets that generated them; every normal is orthogonal to its set's
+    directions.  One product sums the pieces: row k of the weights holds
+    the lam_j of set k, so it costs O(k m n) for k sets and m normals of
+    dimension n."""
+    total = float(np.dot(normals[-1], normals[-1])) if own else 0.0
+    lam = result.coefficients[i]
+    if lam.size:  # empty after a fallback to no correction
+        weights = np.zeros((owners.max() + 1, lam.size))
+        weights[owners, np.arange(lam.size)] = lam
+        pieces = weights @ normals
+        total += float(np.vdot(pieces, pieces))
     project, correct = result.trace[2 * i].step_norm, result.trace[2 * i + 1].step_norm
     return StepDecomposition(components=total, steps=project * project + correct * correct)
 

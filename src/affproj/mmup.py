@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .linalg import RCOND, TOL_LIN, as_matrix, norm
+from .linalg import RCOND, as_matrix, norm
 from .oracle import StackedConstraints
 from .sets import CustomSet
 
@@ -85,10 +85,6 @@ class TargetPair:
             if self.mu.imag != 0.0 or np.any(self.y.imag != 0.0):
                 raise ValueError("real target has nonzero imaginary part")
 
-    @property
-    def columns(self) -> int:
-        return 2 if self.conjugate_pair else 1
-
 
 @dataclass(frozen=True)
 class TargetSpectrum:
@@ -96,10 +92,6 @@ class TargetSpectrum:
 
     def __init__(self, pairs: Sequence[TargetPair]):
         object.__setattr__(self, "pairs", tuple(pairs))
-
-    @property
-    def columns(self) -> int:
-        return sum(p.columns for p in self.pairs)
 
 
 def build_abc(M, targets: TargetSpectrum):

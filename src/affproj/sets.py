@@ -2,15 +2,13 @@
 
 Three concrete descriptors are provided: a single hyperplane
 {x : <a, x> = b}, a row-constraint set {x : C x = d}, and a custom set
-defined by a user-supplied exact projector.  A hyperplane with zero
-normal stands for the whole space (its membership residual is
-identically zero), which is how a projection step that did not move
-records "no information".
+defined by a user-supplied exact projector.  A hyperplane's normal is
+never zero: a projection step that identifies no hyperplane records none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,44 +30,32 @@ class InfeasibleIntersectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """{x : <normal, x> = offset}; zero normal encodes the whole space.
-
-    Whether the normal is zero is decided once, at construction, so the
-    normal must not be mutated afterwards.
-    """
+    """{x : <normal, x> = offset}, with a nonzero normal; a zero one raises
+    ValueError."""
 
     normal: np.ndarray
     offset: float
-    _whole_space: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normal", as_point(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
         if not np.isfinite(self.offset):
             raise ValueError("offset is not finite")
-        whole = not np.any(self.normal)
-        if whole and self.offset != 0.0:
-            raise ValueError("zero normal requires zero offset (whole space)")
-        object.__setattr__(self, "_whole_space", whole)
+        if not np.any(self.normal):
+            raise ValueError("the normal of a hyperplane must not be zero")
 
     @property
     def dim(self) -> int:
         return self.normal.shape[0]
 
-    def is_whole_space(self) -> bool:
-        return self._whole_space
-
 
 def project_hyperplane(x, h: Hyperplane) -> np.ndarray:
-    """Exact projection onto a hyperplane; identity when the normal is zero."""
+    """Exact projection onto a hyperplane."""
     x = as_point(x)
     a = h.normal
     if x.shape != a.shape:
         raise ValueError(f"dimension mismatch: point {x.shape} vs normal {a.shape}")
-    nn = float(np.dot(a, a))
-    if nn == 0.0:
-        return x.copy()
-    return x + ((h.offset - float(np.dot(a, x))) / nn) * a
+    return x + ((h.offset - float(np.dot(a, x))) / float(np.dot(a, a))) * a
 
 
 def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: GramFactor):
@@ -101,20 +87,19 @@ def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: Gram
 def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.ndarray:
     """Exact projection onto the intersection of a hyperplane family.
 
-    Zero-normal (whole space) members are skipped.  The correction is
-    sum(lam_j * a_j) with lam from a GramFactor of the family, so a
-    redundant family behaves like its independent subfamily.
+    The correction is sum(lam_j * a_j) with lam from a GramFactor of the
+    family, so a redundant family behaves like its independent subfamily;
+    an empty family is the whole space.
     """
     x = as_point(x)
     for h in hyperplanes:
         if h.dim != x.shape[0]:
             raise ValueError("hyperplane dimension mismatch")
-    kept = [h for h in hyperplanes if not h.is_whole_space()]
-    if not kept:
+    if not hyperplanes:
         return x.copy()
-    A = np.vstack([h.normal for h in kept])
-    b = np.array([h.offset for h in kept])
-    return _window_step(x, A, b, np.arange(len(kept)), GramFactor.of(A @ A.T))[0]
+    A = np.vstack([h.normal for h in hyperplanes])
+    b = np.array([h.offset for h in hyperplanes])
+    return _window_step(x, A, b, np.arange(len(A)), GramFactor.of(A @ A.T))[0]
 
 
 class AffineSet:
@@ -148,8 +133,6 @@ class HyperplaneSet(AffineSet):
         return project_hyperplane(x, self.h)
 
     def rows(self):
-        if self.h.is_whole_space():
-            return np.zeros((0, self.dim)), np.zeros(0)
         return self.h.normal.reshape(1, -1), np.array([self.h.offset])
 
 

@@ -19,7 +19,6 @@ uses; LastQ(1) makes run_alg1 coincide with run_map.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import List, Optional, Sequence, Tuple, Union
@@ -34,7 +33,8 @@ from .sets import (AffineSet, Hyperplane, InfeasibleIntersectionError,
 
 @dataclass(frozen=True)
 class LastQ:
-    """Use the current hyperplane plus the most recent ones, q in total."""
+    """Use the newest q hyperplanes: the current iteration's and the q - 1
+    before it, or only those q - 1 when the iteration found none."""
     q: int
 
     def __post_init__(self):
@@ -53,20 +53,20 @@ WindowPolicy = Union[LastQ, All]
 class HyperplaneBuffer:
     """The generated hyperplanes and the window policy.
 
-    generated holds one (set index, hyperplane) record per generation
-    index; live lists the generation indices of the hyperplanes that are
-    not the whole space, in order, so that a selection is a slice of it.
+    generated holds one (set index, hyperplane) record per hyperplane that
+    an iteration found, in order; an iteration that found none records
+    nothing, so a window is a range over generated.
 
-    The live normals and offsets are also copied into the rows of one
-    array: a ring of q rows under LastQ(q) (live entry j in row j % q), and
-    under All() an array whose capacity doubles when full.  Each live
-    hyperplane adds its row and column of the Gram matrix of the stored
-    rows with one mat-vec over them, O(q n).  Under LastQ the ring's q x q
-    Gram matrix is kept, and each correction factors its window's block
-    afresh with one LAPACK call.  Under All() every window is the previous
-    one plus at most one row, so the new Gram column goes straight into the
-    window's GramFactor, O(q^2), which is never refactored; the Gram matrix
-    itself is not kept, because it would grow as the square of the window.
+    The normals and offsets are also copied into the rows of one array: a
+    ring of q rows under LastQ(q) (entry j in row j % q), and under All() an
+    array whose capacity doubles when full.  Each hyperplane adds its row
+    and column of the Gram matrix of the stored rows with one mat-vec over
+    them, O(q n).  Under LastQ the ring's q x q Gram matrix is kept, and
+    each correction factors its window's block afresh with one LAPACK call.
+    Under All() every window is the previous one plus at most one row, so
+    the new Gram column goes straight into the window's GramFactor, O(q^2),
+    which is never refactored; the Gram matrix itself is not kept, because
+    it would grow as the square of the window.
     """
 
     def __init__(self, policy: WindowPolicy):
@@ -74,23 +74,14 @@ class HyperplaneBuffer:
             raise TypeError(f"window policy must be LastQ(q) or All(), got {policy!r}")
         self.policy = policy
         self.generated: List[Tuple[int, Hyperplane]] = []
-        self.live: List[int] = []
         self.ring = policy.q if isinstance(policy, LastQ) else None
-        self.normals = self.offsets = self.gram = None  # allocated by the first live entry
+        self.normals = self.offsets = self.gram = None  # allocated by the first entry
         self.factor = None if self.ring else GramFactor()
 
-    def append(self, h: Hyperplane, set_index: int) -> int:
-        """Record h, generated by a projection onto set set_index, and
-        return its generation index."""
-        idx = len(self.generated)
+    def append(self, h: Hyperplane, set_index: int) -> None:
+        """Record h, found by a projection onto set set_index."""
+        m = len(self.generated)
         self.generated.append((set_index, h))
-        if not h.is_whole_space():
-            self._store(h)
-            self.live.append(idx)
-        return idx
-
-    def _store(self, h: Hyperplane) -> None:
-        m = len(self.live)
         if self.normals is None:
             cap = self.ring or 8
             self.normals = np.zeros((cap, h.dim))
@@ -111,40 +102,31 @@ class HyperplaneBuffer:
         else:
             self.factor.append(g)
 
-    def _bounds(self, current: int) -> Tuple[int, int]:
-        """(first, older): live[first:older] are the live entries generated
-        before `current` that its window keeps, the newest q - 1 under
-        LastQ(q) and all of them under All()."""
-        older = bisect_left(self.live, current)
-        first = max(0, older - self.policy.q + 1) if isinstance(self.policy, LastQ) else 0
-        return first, older
-
-    def select(self, current: int) -> List[int]:
-        """Generation indices of the window of the correction at `current`.
-
-        The live entries of _bounds(current), in generation order, then
-        `current` itself, which is the only one that can be the whole space.
-        Repeated normals are kept: they make the window's Gram matrix
-        singular, and the GramFactor leaves the repeats out.  A selection
-        is one slice of live.
+    def select(self, recorded: bool) -> range:
+        """The window of a correction, as a range over generated: the newest
+        q entries under LastQ(q) when its iteration recorded a hyperplane
+        (that one and the q - 1 before it), else the newest q - 1; every
+        entry under All().  Repeated normals are kept: they make the
+        window's Gram matrix singular, and the GramFactor leaves the
+        repeats out.
         """
-        first, older = self._bounds(current)
-        return self.live[first:older] + [current]
+        stop = len(self.generated)
+        if isinstance(self.policy, All):
+            return range(0, stop)
+        return range(max(0, stop - self.policy.q + (not recorded)), stop)
 
-    def window(self, current: int):
-        """(normals, offsets, rows, factor) for the correction at the newest
-        entry `current`: the stored rows, the indices among them of the live
-        entries of select(current) in generation order, and the GramFactor
-        of those rows (under All() the one grown by append, under LastQ the
-        ring's block factored afresh)."""
-        n = len(self.live)
-        if not n:
+    def window(self, selected: range):
+        """(normals, offsets, rows, factor) for the window `selected`: the
+        stored rows, the rows of its entries in order (entry j in row j % q
+        of the ring), and the GramFactor of those rows (under All() the one
+        grown by append, under LastQ the ring's block factored afresh)."""
+        if not selected:
             return None, None, np.arange(0), GramFactor()
-        rows = np.arange(self._bounds(current)[0], n)
+        rows = np.arange(selected.start, selected.stop)
         if not self.ring:
-            return self.normals[:n], self.offsets[:n], rows, self.factor
+            return self.normals[:selected.stop], self.offsets[:selected.stop], rows, self.factor
         rows %= self.ring
-        A = self.normals[:min(n, self.ring)]
+        A = self.normals[:min(selected.stop, self.ring)]
         G = self.gram.take(rows, 0).take(rows, 1)
         return A, self.offsets[:len(A)], rows, GramFactor.of(G)
 
@@ -176,10 +158,13 @@ class StoppingRule:
 
 @dataclass
 class SolveResult:
-    """Under run_alg1 and run_alg2, correction i used the generated entries
-    selected_history[i] with weights coefficients[i], one per nonzero normal
-    (none after a fallback to no correction); diagnostics.step_decompositions
-    rebuilds the decompositions of condition (B') from them."""
+    """Under run_alg1 and run_alg2, generated holds the hyperplanes that the
+    completed iterations found, and correction i used the window
+    generated[selected_history[i]] with weights coefficients[i], one per
+    entry (none after a fallback to no correction).  selected_history[i].stop
+    counts the hyperplanes found through iteration i + 1.
+    diagnostics.step_decompositions rebuilds the decompositions of
+    condition (B') from these fields."""
 
     solution: np.ndarray
     iterations: int
@@ -189,7 +174,7 @@ class SolveResult:
     x0: np.ndarray
     warnings: List[str] = field(default_factory=list)
     generated: List[Tuple[int, Hyperplane]] = field(default_factory=list)
-    selected_history: List[List[int]] = field(default_factory=list)
+    selected_history: List[range] = field(default_factory=list)
     coefficients: List[np.ndarray] = field(default_factory=list)
 
     def points(self) -> List[np.ndarray]:
@@ -197,26 +182,26 @@ class SolveResult:
         return [self.x0] + [r.point for r in self.trace]
 
 
-def _correct(x: np.ndarray, buffer: HyperplaneBuffer, current: int,
+def _correct(x: np.ndarray, buffer: HyperplaneBuffer, recorded: bool, i: int,
              warnings: List[str]):
-    """Hyperplane-window correction, or none at all.
+    """Hyperplane-window correction i, or none at all.
 
-    Projects x onto the intersection of the window of the newest entry
-    `current` through the buffer's stored rows and Gram factor: O(q n) for
+    Projects x onto the intersection of the window buffer.select(recorded),
+    where recorded tells whether the iteration found a hyperplane, through
+    the buffer's stored rows and Gram factor: O(q n) for
     the three mat-vecs of sets._window_step, plus O(q^2) under All() and
     one q x q factorization under LastQ.  Every recorded hyperplane contains
     the intersection of the sets, so the window is inconsistent only
     through roundoff or when the sets do not meet; then the correction is
     skipped with one warning, and x is returned unmoved.
 
-    Returns (corrected point, generation indices of the window, coefficients);
-    see SolveResult.coefficients.
+    Returns (corrected point, the window, coefficients); see SolveResult.
     """
-    selected = buffer.select(current)
+    selected = buffer.select(recorded)
     try:
-        p, lam = _window_step(x, *buffer.window(current))
+        p, lam = _window_step(x, *buffer.window(selected))
     except InfeasibleIntersectionError:
-        warnings.append(f"correction {current}: inconsistent intersection, "
+        warnings.append(f"correction {i}: inconsistent intersection, "
                         "fell back to the uncorrected iterate")
         return x.copy(), selected, np.zeros(0)
     return p, selected, lam
@@ -256,13 +241,13 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
     path(sets, l, p) gives the projections of an iteration from x, the
     first being p = P_l(x), as (phase, set index, point) triples; without
     support, their end is the next iterate.  support(x, path, d, step, i,
-    warnings), with d = x - p and step = ||d||, gives the recorded
-    hyperplane as a normal (None: the whole space) and a point on it, and
-    the window correction of the path's end is the next iterate; its window
-    and coefficients are only stored, for diagnostics.  lift is the set the
-    start is first projected onto (set 0).  An empty family raises
-    ValueError.  policy is the window policy of an accelerated run; every
-    whole-space hyperplane of the run is one shared record.
+    warnings), with d = x - p and step = ||d||, gives the hyperplane the
+    iteration found as a normal and a point on it (None, None: it found
+    none and records nothing), and the window correction of the path's end
+    is the next iterate; its window and coefficients are only stored, for
+    diagnostics.  lift is the set the start is first projected onto (set 0).
+    An empty family raises ValueError.  policy is the window policy of an
+    accelerated run.
 
     Each main iterate is checked once, by _check, inside the iteration
     that made it (one that raises InfeasibleSetError records nothing).
@@ -284,7 +269,6 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
     stop = stop or StoppingRule()
     if support is not None:
         buffer = HyperplaneBuffer(policy)
-        whole = Hyperplane(np.zeros_like(start), 0.0)
     trace, warnings, selected_history, coefficients = [], [], [], []
     i = substeps = 0
     reason = "max-iter"
@@ -313,9 +297,9 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
             xn = end = steps[-1][2]
             if support is not None:
                 normal, through = support(x, steps, d, step, i + 1, warnings)
-                h = whole if normal is None else Hyperplane(normal, inner(normal, through))
-                cur = buffer.append(h, l)
-                xn, selected, lam = _correct(xn, buffer, cur, warnings)
+                if normal is not None:
+                    buffer.append(Hyperplane(normal, inner(normal, through)), l)
+                xn, selected, lam = _correct(xn, buffer, normal is not None, i, warnings)
             d = ahead = None  # kept alive through _check, d slowed pencil map_s by 11%
             met, ahead = _check(sets, xn, cycle[(i + 1) % len(cycle)],
                                 l if support is None else None, stop.stop_tol)
@@ -339,7 +323,8 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
                        converged=reason == "residual-met", stop_reason=reason, x0=start,
                        warnings=warnings,
                        # drops the hyperplane of an iteration that failed
-                       generated=buffer.generated[:i] if support is not None else [],
+                       generated=(buffer.generated[:selected_history[-1].stop]
+                                  if selected_history else []),
                        selected_history=selected_history, coefficients=coefficients)
 
 
@@ -352,7 +337,7 @@ def _composite_projection(sets, l, p):
 
 
 # A displacement of at most ROUNDOFF_STEP * max(1, ||x||) is roundoff (such as
-# a repeated projection onto a one-row set): as a live window row, its noise
+# a repeated projection onto a one-row set): as a window row, its noise
 # direction would pull the correction along C - C, away from P_C(x0).
 ROUNDOFF_STEP = 64 * np.finfo(float).eps
 
@@ -368,7 +353,7 @@ def _composite_hyperplane(x, path, d, step, i, warnings):
     if nn <= TOL_LIN:
         # numerically a fixed point of the composite projection: no usable hyperplane
         warnings.append(f"iteration {i}: degenerate composite step "
-                        f"(displacement {nn:.3e}), recorded whole-space hyperplane")
+                        f"(displacement {nn:.3e}), recorded no hyperplane")
         return None, None
     t = inner(d, d) / inner(a, a)
     return a, x + t * (xpp - x)
@@ -384,9 +369,9 @@ def run_alg1(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
     """Projections with supporting-hyperplane corrections.
 
     Each iteration projects onto the next set in the cyclic order, records
-    the hyperplane {x : <a, x> = <a, p>} with a = iterate - projection (the
-    whole space when a is roundoff, see ROUNDOFF_STEP), and then projects
-    onto the intersection of the selected window.  Every
+    the hyperplane {x : <a, x> = <a, p>} with a = iterate - projection (none
+    when a is roundoff, see ROUNDOFF_STEP), and then projects onto the
+    intersection of the selected window.  Every
     recorded hyperplane contains the full intersection, so the window
     intersection is feasible in exact arithmetic.
     """

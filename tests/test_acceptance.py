@@ -127,7 +127,7 @@ def test_solvers_match_direct_projection():
     """map, and alg1 and alg2 under All(), LastQ(2), LastQ(3) and LastQ(5).
     The short windows matter: a one-row set's recorded hyperplane is the
     set itself, so a later projection onto it moves the iterate only by
-    roundoff, and that displacement must not enter a window as a live
+    roundoff, and that displacement must not enter a window as a
     hyperplane."""
     policies = (All(), LastQ(2), LastQ(3), LastQ(5))
     worst, where = 0.0, None

@@ -22,11 +22,10 @@ def test_hyperplane_member_is_fixed():
     np.testing.assert_allclose(project_hyperplane(x, h), x)
 
 
-def test_zero_normal_means_whole_space():
-    h = Hyperplane([0.0, 0.0], 0.0)
-    np.testing.assert_allclose(project_hyperplane([1.0, 1.0], h), [1.0, 1.0])
-    assert h.is_whole_space()
-    assert HyperplaneSet(h).residual([3.0, -4.0]) == 0.0
+def test_a_zero_normal_of_either_sign_raises():
+    for zero in ([0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]):
+        with pytest.raises(ValueError, match="normal"):
+            Hyperplane(zero, 0.0)
 
 
 def test_zero_normal_with_offset_is_rejected():
@@ -97,10 +96,11 @@ def test_intersection_duplicate_family_equals_single():
     np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
 
 
-def test_intersection_skips_whole_space_members():
-    hs = [Hyperplane([0.0, 0.0], 0.0), Hyperplane([1.0, 0.0], 1.0)]
-    p = project_hyperplane_intersection([3.0, 7.0], hs)
-    np.testing.assert_allclose(p, [1.0, 7.0], atol=1e-12)
+def test_intersection_of_no_hyperplanes_returns_the_point():
+    x = np.array([3.0, 7.0])
+    p = project_hyperplane_intersection(x, [])
+    np.testing.assert_array_equal(p, x)
+    assert p is not x
 
 
 def test_intersection_of_inconsistent_family_raises():

@@ -12,8 +12,8 @@ from affproj.oracle import direct_projection, stack
 from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleIntersectionError,
                           InfeasibleSetError, RowConstraintSet,
                           project_hyperplane_intersection)
-from affproj.solver import (All, HyperplaneBuffer, LastQ, StoppingRule, _correct, run_alg1,
-                            run_alg2, run_map)
+from affproj.solver import (ROUNDOFF_STEP, All, HyperplaneBuffer, LastQ, StoppingRule, _correct,
+                            run_alg1, run_alg2, run_map)
 
 
 def two_lines():
@@ -147,10 +147,11 @@ def test_full_window_solves_two_lines_at_second_iteration():
     assert norm(r.solution) < 1e-12
 
 
-def test_iterate_already_in_set_records_whole_space():
+def test_iterate_already_in_set_records_no_hyperplane():
     sets = two_lines()
     r = run_alg1(sets, [2.0, 0.0], policy=All())  # starts on the x-axis
-    assert r.generated[0][1].is_whole_space()
+    assert r.selected_history[0] == range(0, 0)
+    assert r.generated[0][0] == 1  # the first hyperplane comes from set 1
     assert r.converged
 
 
@@ -165,7 +166,7 @@ def test_full_window_matches_direct_projection():
 def test_roundoff_displacement_opens_no_window():
     """Set 0 is one row, so the hyperplane recorded by projecting onto it is
     set 0 itself.  Every later projection onto set 0 moves the iterate only
-    by roundoff.  Recorded as a live hyperplane, that displacement would open
+    by roundoff.  Recorded as a hyperplane, that displacement would open
     a LastQ(3) window with a meaningless normal and pull the run along C - C,
     away from the direct projection."""
     sets, x0, _ = cli_random_family(6, 3, [1, 2, 2], 0)
@@ -232,12 +233,12 @@ def test_starting_lift_lands_in_set_and_fixes_members():
 def test_degenerate_composite_step_is_skipped_with_note():
     # a start so close to the solution that the composite displacement
     # is below the linear tolerance, with a stop tolerance too tight to
-    # be met: the scheme records whole-space hyperplanes and notes it
+    # be met: the scheme records no hyperplane and notes it
     sets = two_lines()
     r = run_alg2(sets, [1e-11, 0.0], policy=LastQ(1), stop=StoppingRule(1e-16, 8))
     assert not r.converged
     assert any("degenerate composite step" in w for w in r.warnings)
-    assert all(h.is_whole_space() for _, h in r.generated)
+    assert r.generated == []
 
 
 @pytest.mark.parametrize("runner", [run_map, run_alg1, run_alg2])
@@ -382,68 +383,71 @@ def test_accelerated_runs_reject_an_unknown_window_policy(runner, policy):
 
 def test_buffer_window_keeps_current_plus_most_recent():
     buf = HyperplaneBuffer(LastQ(2))
-    ids = [buf.append(Hyperplane([1.0, float(i)], 0.0), 0) for i in range(4)]
-    sel = buf.select(ids[-1])
-    assert sel == [2, 3]
+    for i in range(4):
+        buf.append(Hyperplane([1.0, float(i)], 0.0), 0)
+    assert buf.select(True) == range(2, 4)
 
 
-def test_buffer_window_skips_whole_space_entries():
+def test_buffer_window_skips_iterations_without_a_hyperplane():
+    """The second of three LastQ(3) iterations finds no hyperplane: its
+    window is the one entry before it, and the third iteration's window
+    is its own entry and that one."""
     buf = HyperplaneBuffer(LastQ(3))
     buf.append(Hyperplane([1.0, 0.0], 1.0), 0)
-    buf.append(Hyperplane([0.0, 0.0], 0.0), 1)
-    cur = buf.append(Hyperplane([0.0, 1.0], 2.0), 0)
-    sel = buf.select(cur)
-    assert sel == [0, 2]
+    assert buf.select(False) == range(0, 1)
+    buf.append(Hyperplane([0.0, 1.0], 2.0), 0)
+    assert buf.select(True) == range(0, 2)
 
 
 def test_buffer_window_keeps_identical_normals_in_generation_order():
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane([1.0, 0.0], 1.0), 0)
     buf.append(Hyperplane([1.0, 0.0], 1.0 + 1e-13), 1)
-    cur = buf.append(Hyperplane([0.0, 1.0], 0.0), 0)
-    sel = buf.select(cur)
-    assert sel == [0, 1, 2]
+    buf.append(Hyperplane([0.0, 1.0], 0.0), 0)
+    assert buf.select(True) == range(0, 3)
     buf.policy = LastQ(2)
-    assert buf.select(cur) == [1, 2]
+    assert buf.select(True) == range(1, 3)
 
 
-def pairwise_select(buffer, current):
+def pairwise_select(policy, found, current):
     """The former HyperplaneBuffer.select, kept as the reference: a walk
-    back over every older entry, skipping whole-space entries."""
-    chosen = [current]
-    if isinstance(buffer.policy, LastQ):
-        budget = buffer.policy.q - 1
-    else:
-        budget = len(buffer.generated)
+    back over the iterations before `current`, skipping those that found
+    no hyperplane.  found[j] is iteration j's hyperplane, or None where it
+    found none; the window is returned as positions in the list of the
+    hyperplanes found."""
+    chosen = [current] if found[current] is not None else []
+    budget = policy.q - 1 if isinstance(policy, LastQ) else len(found)
     for j in reversed(range(current)):
         if budget <= 0:
             break
-        if buffer.generated[j][1].is_whole_space():
+        if found[j] is None:
             continue
         chosen.append(j)
         budget -= 1
     chosen.reverse()
-    return chosen
+    position = np.cumsum([h is not None for h in found]) - 1
+    return [int(position[j]) for j in chosen]
 
 
-KINDS = ("fresh", "copy", "sign", "collide", "whole")
+KINDS = ("fresh", "copy", "sign", "collide", "none")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 5, 130]),
        st.one_of(st.builds(LastQ, st.integers(1, 6)), st.just(All())),
        st.lists(st.sampled_from(KINDS), min_size=1, max_size=30),
-       st.integers(0, 2**32 - 1), st.data())
-def test_select_matches_pairwise_reference(dim, policy, kinds, seed, data):
+       st.integers(0, 2**32 - 1))
+def test_select_matches_pairwise_reference(dim, policy, kinds, seed):
     """Exact copies, copies with the sign of their zeros flipped, copies
-    changed in one odd position (dim 130) and whole-space entries with
-    either signed zero, in any order."""
+    changed in one odd position (dim 130) and iterations that find no
+    hyperplane, in any order; the window of every iteration is checked."""
     rng = np.random.default_rng(seed)
     stride = max(1, dim // 64)
-    buf, live = HyperplaneBuffer(policy), []
+    buf, found = HyperplaneBuffer(policy), []
     for kind in kinds:
-        if kind == "whole":
-            a = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+        live = [a for a in found if a is not None]
+        if kind == "none":
+            a = None
         elif kind == "fresh" or not live:
             a = rng.integers(-1, 2, dim).astype(float)
             a[rng.integers(dim)] = 1.0
@@ -453,22 +457,19 @@ def test_select_matches_pairwise_reference(dim, policy, kinds, seed, data):
                 a[a == 0.0] *= -1.0
             elif kind == "collide" and stride > 1:
                 a[stride * rng.integers(dim // stride) + 1] += 1.0
-        if np.any(a):
-            live.append(a)
-        buf.append(Hyperplane(a, 0.0), 0)
-    current = data.draw(st.integers(0, len(kinds) - 1))
-    for cur in (current, len(kinds) - 1):
-        assert buf.select(cur) == pairwise_select(buf, cur)
+        found.append(a)
+        if a is not None:
+            buf.append(Hyperplane(a, 0.0), 0)
+        assert list(buf.select(a is not None)) == pairwise_select(policy, found, len(found) - 1)
 
 
 @pytest.mark.parametrize("older,newer", [(-0.0, 0.0), (0.0, -0.0)])
 def test_signed_zero_normals_kept_in_generation_order(older, newer):
-    assert Hyperplane([-0.0, -0.0], 0.0).is_whole_space()
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane([older, 1.0], 1.0), 0)
     buf.append(Hyperplane([newer, 1.0], 1.0 + 1e-13), 1)
-    cur = buf.append(Hyperplane([1.0, 0.0], 0.0), 0)
-    assert buf.select(cur) == [0, 1, 2]
+    buf.append(Hyperplane([1.0, 0.0], 0.0), 0)
+    assert buf.select(True) == range(0, 3)
 
 
 def test_colliding_fingerprints_keep_both_normals():
@@ -479,34 +480,23 @@ def test_colliding_fingerprints_keep_both_normals():
     b[1] = 2.0
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane(a, 0.0), 0)
-    cur = buf.append(Hyperplane(b, 0.0), 1)
-    assert buf.select(cur) == [0, 1]
+    buf.append(Hyperplane(b, 0.0), 1)
+    assert buf.select(True) == range(0, 2)
 
 
-def test_select_does_not_walk_back_past_whole_space_entries(monkeypatch):
-    """A run at a fixed point records the whole space at every iteration;
-    a LastQ(q) selection after that must cost O(q) checks, not one per
-    entry."""
+def test_select_ignores_a_long_run_of_iterations_without_a_hyperplane():
+    """A run at a fixed point finds no hyperplane for many iterations.  They
+    leave nothing in the buffer, so the windows after them are those of the
+    two hyperplanes found since."""
     buf = HyperplaneBuffer(LastQ(2))
     for _ in range(5000):
-        buf.append(Hyperplane(np.zeros(3), 0.0), 0)
+        assert buf.select(False) == range(0, 0)
     buf.append(Hyperplane([1.0, 0.0, 0.0], 0.0), 1)
-    cur = buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 2)
-    calls = {"array_equal": 0, "is_whole_space": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np, "array_equal", counted("array_equal", np.array_equal))
-    monkeypatch.setattr(Hyperplane, "is_whole_space",
-                        counted("is_whole_space", Hyperplane.is_whole_space))
-    assert buf.select(cur) == [5000, 5001]
+    buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 2)
+    assert buf.select(True) == range(0, 2)
     buf.policy = All()
-    assert buf.select(cur) == [5000, 5001]
-    assert calls["array_equal"] <= 2 and calls["is_whole_space"] <= 4
+    assert buf.select(True) == range(0, 2)
+    assert len(buf.generated) == 2
 
 
 def test_buffer_rejects_nonpositive_window():
@@ -522,14 +512,14 @@ def test_inconsistent_window_skips_the_correction_and_warns(policy):
     buf = HyperplaneBuffer(policy)
     buf.append(Hyperplane([1.0, 0.0, 0.0], 0.0), 0)
     buf.append(Hyperplane([2.0, 0.0, 0.0], 1.0), 1)  # parallel, incompatible
-    cur = buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 0)
+    buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 0)
     warnings = []
     x = np.array([5.0, 5.0, 5.0])
-    p, selected, lam = _correct(x, buf, cur, warnings)
+    p, selected, lam = _correct(x, buf, True, 2, warnings)
     np.testing.assert_array_equal(p, x)
-    assert selected == [0, 1, 2] and lam.size == 0
+    assert selected == range(0, 3) and lam.size == 0
     assert len(warnings) == 1
-    assert warnings[0].startswith(f"correction {cur}: ") and "fell back" in warnings[0]
+    assert warnings[0].startswith("correction 2: ") and "fell back" in warnings[0]
 
 
 def test_unresolvable_window_falls_back_to_unmoved_point():
@@ -537,10 +527,10 @@ def test_unresolvable_window_falls_back_to_unmoved_point():
     buf.append(Hyperplane([0.0, 1.0, 0.0], 0.0), 0)
     buf.append(Hyperplane([0.0, 2.0, 0.0], 1.0), 1)
     buf.append(Hyperplane([1.0, 0.0, 0.0], 0.0), 0)
-    cur = buf.append(Hyperplane([2.0, 0.0, 0.0], 1.0), 1)
+    buf.append(Hyperplane([2.0, 0.0, 0.0], 1.0), 1)
     warnings = []
     x = np.array([5.0, 5.0, 5.0])
-    p, selected, lam = _correct(x, buf, cur, warnings)
+    p, selected, lam = _correct(x, buf, True, 3, warnings)
     assert any("fell back" in w for w in warnings)
     np.testing.assert_array_equal(p, x)
     assert lam.size == 0
@@ -551,12 +541,11 @@ def test_unresolvable_window_falls_back_to_unmoved_point():
 def stacked_intersection_step(x, hyperplanes):
     """The former sets._intersection_step, kept as the reference: the window
     stacked afresh at every correction and solved by the min-norm Gram solve."""
-    kept = [h for h in hyperplanes if not h.is_whole_space()]
-    if not kept:
+    if not hyperplanes:
         return x.copy(), np.zeros(0)
-    A = np.vstack([h.normal for h in kept])
-    b = np.array([h.offset for h in kept])
-    resid = b - np.array([np.dot(h.normal, x) for h in kept])
+    A = np.vstack([h.normal for h in hyperplanes])
+    b = np.array([h.offset for h in hyperplanes])
+    resid = b - np.array([np.dot(h.normal, x) for h in hyperplanes])
     lam = lstsq_min_norm(A @ A.T, resid)
     p = x + A.T @ lam
     worst = np.max(np.abs(b - A @ p))
@@ -566,36 +555,50 @@ def stacked_intersection_step(x, hyperplanes):
     return p, lam
 
 
-def stacked_correct(x, buffer, current, warnings):
+def stacked_correct(x, buffer, recorded, i, warnings):
     """solver._correct over stacked_intersection_step."""
-    selected = buffer.select(current)
+    selected = buffer.select(recorded)
     try:
         p, lam = stacked_intersection_step(x, [buffer.generated[j][1] for j in selected])
     except InfeasibleIntersectionError:
-        warnings.append(f"correction {current}: inconsistent intersection, "
+        warnings.append(f"correction {i}: inconsistent intersection, "
                         "fell back to the uncorrected iterate")
         return x.copy(), selected, np.zeros(0)
     return p, selected, lam
 
 
-def assert_matches_stacked_reference(x, buf, cur):
-    """_correct against stacked_correct on the same buffer: the points agree
-    within 1e-9 max(1, ||x||), the fallback warnings and windows are equal,
-    and sum_j lam_j a_j over the returned coefficients is the correction."""
+def assert_matches_stacked_reference(x, buf, recorded, i, near_pair=False):
+    """_correct against stacked_correct on the same buffer: the fallback
+    warnings and windows are equal, sum_j lam_j a_j over the returned
+    coefficients is the correction, and the points agree within
+    tol = 1e-9 max(1, ||x||).
+
+    With near_pair, the window holds two normals 1e-7 rad apart.  The
+    factor keeps the older one and the min-norm solve splits the residual
+    between them, so the points differ by about 1e-7 times the coefficients.
+    The point must then be the exact projection onto the hyperplanes the
+    factor kept, within tol, and lie within
+    1e-7 max|lam_ref| max||a_j|| + tol of the reference's."""
     ours, ref = [], []
-    p, selected, lam = _correct(x, buf, cur, ours)
-    q, ref_selected, _ = stacked_correct(x, buf, cur, ref)
+    p, selected, lam = _correct(x, buf, recorded, i, ours)
+    q, ref_selected, ref_lam = stacked_correct(x, buf, recorded, i, ref)
     tol = 1e-9 * max(1.0, norm(x))
-    assert norm(p - q) <= tol
     assert ours == ref
     assert selected == ref_selected
-    hyperplanes = [buf.generated[j][1] for j in selected]
-    normals = [h.normal for h in hyperplanes if not h.is_whole_space()]
+    normals = [buf.generated[j][1].normal for j in selected]
     assert lam.shape == ((len(normals),) if lam.size else (0,))
     assert norm(x + sum((l * a for l, a in zip(lam, normals)), np.zeros_like(x)) - p) <= tol
+    if ours or not near_pair:
+        assert norm(p - q) <= tol
+        return
+    factor = buf.window(selected)[3]
+    kept = [HyperplaneSet(buf.generated[selected[j]][1]) for j in factor.kept[:factor.rank]]
+    assert norm(p - direct_projection(x, stack(kept))) <= tol
+    longest = max(norm(a) for a in normals)
+    assert norm(p - q) <= 1e-7 * np.abs(ref_lam).max() * longest + tol
 
 
-WINDOW_KINDS = ("fresh", "whole", "repeat", "near")
+WINDOW_KINDS = ("fresh", "none", "repeat", "near")
 
 
 @settings(max_examples=300, deadline=None)
@@ -605,69 +608,75 @@ WINDOW_KINDS = ("fresh", "whole", "repeat", "near")
        st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0), st.sampled_from([1e-3, 1.0]))
 @example(LastQ(3), 8, ["fresh"] * 10, 0, 0.0, 1.0)   # the ring wraps around
 @example(All(), 40, ["fresh"] * 12, 1, 0.0, 1.0)     # the row store doubles past 8 rows
-@example(LastQ(4), 8, ["fresh", "fresh", "whole", "fresh", "whole"], 2, 0.0, 1.0)
+@example(LastQ(4), 8, ["fresh", "fresh", "none", "fresh", "none"], 2, 0.0, 1.0)
+# ill-conditioned fresh rows (singular values 2.8 and 0.08) and a near pair:
+# lam is about 0.012, and the points differ by 1.85e-9
+@example(LastQ(3), 3, ["fresh", "fresh", "near"], 2**32 - 1, 0.0, 1e-3)
 def test_stored_factor_correction_matches_stacked_reference(policy, dim, kinds, seed, length,
                                                             scale):
     """Every hyperplane passes through one point z, and the buffer is
-    corrected after each append, from a point at distance about `scale` from
-    z.  Kinds: a fresh Gaussian normal, the whole space, an exact repeat of
-    an earlier normal, and an earlier normal turned by 1e-7 rad.  All
+    corrected after each iteration, from a point at distance about `scale`
+    from z.  Kinds: a fresh Gaussian normal, no hyperplane, an exact repeat
+    of an earlier normal, and an earlier normal turned by 1e-7 rad.  All
     normals of a case are scaled by 10^length, so lengths span 1e+-10.
 
-    Where the rank rules differ, the points differ too, so two cases are
-    left to their own tests.  Normals of very different lengths in one
-    window: test_factor_keeps_a_short_row_that_a_later_long_row_would_cut.
-    Two normals 1e-7 rad apart fall below the RCOND cut, and the min-norm
-    solve splits the residual between them where the factor keeps the older
-    one; the points then differ by about 1e-7 times the residual.  Such
-    pairs come from the short steps late in a run, so windows holding one
-    are corrected from within 1e-3 / max(1, 10^length) of z here, where the
-    residuals stay below 1e-9.  At distance 1 from unit normals the points
-    differ by up to 1.5e-9, and the factor's feasibility check fires at
-    about half the distance that the reference's does.
+    Where the rank rules differ, the points differ too.  Normals of very
+    different lengths in one window are left to
+    test_factor_keeps_a_short_row_that_a_later_long_row_would_cut.  Two
+    normals 1e-7 rad apart fall below the RCOND cut; a window that holds
+    both is checked as assert_matches_stacked_reference describes for
+    near_pair.  Such pairs come from the short steps late in a run, so
+    cases with one are corrected from within 1e-3 / max(1, 10^length) of z
+    here.  At distance 1 from unit normals the points differ by up to
+    1.5e-9, and the factor's feasibility check fires at about half the
+    distance that the reference's does.
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(dim)
-    buf, live = HyperplaneBuffer(policy), []
-    for kind in kinds:
-        if kind == "whole":
-            a = np.zeros(dim)
-        elif kind == "fresh" or not live:
+    buf, family = HyperplaneBuffer(policy), []  # family[j]: the fresh entry entry j derives from
+    for i, kind in enumerate(kinds):
+        if kind == "none":
+            a = None
+        elif kind == "fresh" or not family:
             a = rng.standard_normal(dim) * 10.0 ** length
-        elif kind == "repeat":
-            a = live[rng.integers(len(live))].copy()
+            family.append(len(family))
         else:
-            a = live[rng.integers(len(live))]
-            u = rng.standard_normal(dim)
-            u -= (u @ a) / (a @ a) * a
-            a = np.cos(1e-7) * a + np.sin(1e-7) * norm(a) / norm(u) * u
-        if np.any(a):
-            live.append(a)
-        cur = buf.append(Hyperplane(a, a @ z), 0)
+            j = rng.integers(len(family))
+            family.append(family[j])
+            a = buf.generated[j][1].normal.copy()
+            if kind == "near":
+                u = rng.standard_normal(dim)
+                u -= (u @ a) / (a @ a) * a
+                a = np.cos(1e-7) * a + np.sin(1e-7) * norm(a) / norm(u) * u
+        if a is not None:
+            buf.append(Hyperplane(a, a @ z), 0)
         near = 1e-3 / max(1.0, 10.0 ** length)
         x = z + (near if "near" in kinds else scale) * rng.standard_normal(dim)
-        assert_matches_stacked_reference(x, buf, cur)
+        window = buf.select(a is not None)
+        normals = {(family[j], buf.generated[j][1].normal.tobytes()) for j in window}
+        near_pair = len({f for f, _ in normals}) < len(normals)
+        assert_matches_stacked_reference(x, buf, a is not None, i, near_pair)
 
 
 @pytest.mark.parametrize("policy", [All(), LastQ(4)])
 @pytest.mark.parametrize("rows", [
     # parallel, incompatible pair, then a fresh normal
     [([1.0, 0.0, 0.0], 0.0), ([2.0, 0.0, 0.0], 1.0), ([0.0, 1.0, 0.0], 0.0)],
-    # the same pair, then a fresh normal and a whole-space current entry
-    [([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
-     ([0.0, 0.0, 0.0], 0.0)],
+    # the same pair, then a fresh normal and an iteration that found none
+    [([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0), None],
     # two incompatible pairs
     [([0.0, 1.0, 0.0], 0.0), ([0.0, 2.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 0.0),
      ([2.0, 0.0, 0.0], 1.0)],
 ])
 def test_fallbacks_match_stacked_reference(policy, rows):
     buf = HyperplaneBuffer(policy)
-    for a, b in rows:
-        cur = buf.append(Hyperplane(a, b), 0)
+    for row in filter(None, rows):
+        buf.append(Hyperplane(*row), 0)
+    recorded, i = rows[-1] is not None, len(rows) - 1
     warnings = []
-    _correct(np.array([5.0, 5.0, 5.0]), buf, cur, warnings)
+    _correct(np.array([5.0, 5.0, 5.0]), buf, recorded, i, warnings)
     assert len(warnings) == 1 and "fell back" in warnings[0]
-    assert_matches_stacked_reference(np.array([5.0, 5.0, 5.0]), buf, cur)
+    assert_matches_stacked_reference(np.array([5.0, 5.0, 5.0]), buf, recorded, i)
 
 
 def test_factor_keeps_a_short_row_that_a_later_long_row_would_cut():
@@ -681,11 +690,11 @@ def test_factor_keeps_a_short_row_that_a_later_long_row_would_cut():
     a1, a2 = rng.standard_normal(3), 1e9 * rng.standard_normal(3)
     buf = HyperplaneBuffer(All())
     buf.append(Hyperplane(a1, a1 @ z), 0)
-    cur = buf.append(Hyperplane(a2, a2 @ z), 1)
+    buf.append(Hyperplane(a2, a2 @ z), 1)
     x = z + rng.standard_normal(3)
     warnings = []
-    p = _correct(x, buf, cur, warnings)[0]
-    q = stacked_correct(x, buf, cur, [])[0]
+    p = _correct(x, buf, True, 1, warnings)[0]
+    q = stacked_correct(x, buf, True, 1, [])[0]
     exact = direct_projection(x, stack([HyperplaneSet(h) for _, h in buf.generated]))
     assert not warnings and buf.factor.rank == 2
     assert norm(p - exact) <= 1e-9 * norm(x)
@@ -697,7 +706,7 @@ def test_factor_keeps_a_short_row_that_a_later_long_row_would_cut():
 def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch, iterations,
                                                                     parallel):
     """alg1 All() at stop_tol 0 on three one-row sets in dim 4 sits at its
-    fixed point for most of the run.  Each live hyperplane gets one Gram
+    fixed point for most of the run.  Each hyperplane found gets one Gram
     row, each correction grows the factor by at most one row, and nothing
     is factored afresh.
 
@@ -728,7 +737,7 @@ def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch,
     monkeypatch.setattr(GramFactor, "append", counted_append)
     monkeypatch.setattr(GramFactor, "of", classmethod(counted_of))
     r = run_alg1(sets, x0, policy=All(), stop=StoppingRule(0.0, 2 * iterations))
-    live = sum(not h.is_whole_space() for _, h in r.generated)
+    live = len(r.generated)
     assert r.iterations == iterations
     skipped = range(1, iterations) if parallel else []
     assert [w.split(":")[0] for w in r.warnings] == [f"correction {j}" for j in skipped]
@@ -742,15 +751,32 @@ def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch,
     (run_alg1, LastQ(3), None),  # the fixed-point probe: set projections that do not move
     (run_alg2, LastQ(1), [1e-11, 0.0]),  # degenerate composite steps
 ])
-def test_every_whole_space_record_of_a_run_is_one_object(runner, policy, start):
+def test_each_window_ends_at_the_hyperplanes_found_so_far(runner, policy, start):
+    """selected_history[i] is a range whose stop counts the hyperplanes found
+    through iteration i + 1, growing by 0 or 1 per correction: alg1 finds
+    one when its set projection moves x by more than ROUNDOFF_STEP
+    max(1, ||x||), and then records that displacement; alg2 finds none where
+    it notes a degenerate composite step."""
     if start is None:
         sets, x0, _ = random_family(0, dim=4, k=3, codim=1)
     else:
         sets, x0 = two_lines(), start
     r = runner(sets, x0, policy=policy, stop=StoppingRule(0.0, 400))
-    whole = [h for _, h in r.generated if h.is_whole_space()]
-    assert len(whole) > 1
-    assert all(h is whole[0] for h in whole)
+    assert r.iterations > 1 and all(isinstance(w, range) for w in r.selected_history)
+    if runner is run_alg1:
+        mains = [r.x0] + [t.point for t in r.trace[1::2]]
+        found = [norm(x - t.point) > ROUNDOFF_STEP * max(1.0, norm(x))
+                 for x, t in zip(mains, r.trace[::2])]
+    else:
+        notes = {w.split(":")[0] for w in r.warnings if "degenerate composite step" in w}
+        found = [f"iteration {i + 1}" not in notes for i in range(r.iterations)]
+    assert not all(found)
+    assert [w.stop for w in r.selected_history] == list(np.cumsum(found))
+    assert len(r.generated) == sum(found)
+    if runner is run_alg1:
+        displacements = [x - t.point for x, t, f in zip(mains, r.trace[::2], found) if f]
+        for (_, h), d in zip(r.generated, displacements):
+            np.testing.assert_array_equal(h.normal, d)
 
 
 # -- shared convergence certificates ----------------------------------------
