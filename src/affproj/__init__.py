@@ -9,23 +9,21 @@ family built on top of them.
 from .diagnostics import (ConditionReport, IterationRecord, check_b_prime, check_condition_b,
                           condition_report, step_decompositions)
 from .linalg import gram_solve, inner, lstsq_min_norm, norm
-from .oracle import StackedConstraints, UnsupportedSetError, direct_projection, stack
-from .sets import (AffineSet, CustomSet, Hyperplane, HyperplaneSet,
-                   InfeasibleIntersectionError, InfeasibleSetError,
-                   RowConstraintSet, project_hyperplane,
-                   project_hyperplane_intersection)
+from .oracle import UnsupportedSetError, direct_projection, stack
+from .sets import (AffineSet, CustomSet, Hyperplane, InfeasibleIntersectionError,
+                   InfeasibleSetError, RowConstraintSet, project_hyperplane_intersection)
 from .solver import (All, LastQ, SolveResult, StoppingRule, WindowPolicy, run_alg1, run_alg2,
                      run_map)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSet", "All", "ConditionReport", "CustomSet", "Hyperplane", "HyperplaneSet",
+    "AffineSet", "All", "ConditionReport", "CustomSet", "Hyperplane",
     "InfeasibleIntersectionError", "InfeasibleSetError", "IterationRecord",
-    "LastQ", "RowConstraintSet", "SolveResult", "StackedConstraints",
-    "StoppingRule", "UnsupportedSetError", "WindowPolicy",
+    "LastQ", "RowConstraintSet", "SolveResult", "StoppingRule",
+    "UnsupportedSetError", "WindowPolicy",
     "check_b_prime", "check_condition_b", "condition_report",
     "direct_projection", "gram_solve", "inner", "lstsq_min_norm", "norm",
-    "project_hyperplane", "project_hyperplane_intersection",
+    "project_hyperplane_intersection",
     "run_alg1", "run_alg2", "run_map", "stack", "step_decompositions",
 ]

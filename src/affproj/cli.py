@@ -147,8 +147,31 @@ def write_trace_csv(fh, result: SolveResult, sets: Sequence[AffineSet],
 
 
 def _oracle_point(problem: Problem) -> np.ndarray:
-    sc = stack(problem.sets)
-    return direct_projection(problem.x0, sc)
+    return direct_projection(problem.x0, stack(problem.sets))
+
+
+def _print_certificates(result: SolveResult, x0: np.ndarray, m: Optional[np.ndarray],
+                        policy: WindowPolicy) -> bool:
+    """Print the run's convergence certificates against the member m (None
+    when no member is known) and return whether they hold: a Fejer margin
+    of at most 1e-9, a sum of squared steps within ||x0 - m||^2 + 1e-6
+    (checked only with a member) and, under All(), a span-condition
+    residual of at most 1e-8."""
+    rep = condition_report(result, m)
+    print(f"fejer worst margin: {_fmt(rep.fejer_worst)} "
+          f"({rep.fejer_violations} violations)")
+    bad = rep.fejer_worst > 1e-9
+    if rep.sum_of_squares and m is not None:
+        total, bound = rep.sum_of_squares[-1], norm(x0 - m) ** 2
+        print(f"sum of squared steps: {_fmt(total)} vs bound {_fmt(bound)}")
+        bad |= total > bound + 1e-6
+    if rep.condition_b_residuals:
+        worst = max(rep.condition_b_residuals)
+        print(f"span-condition residual: worst {_fmt(worst)}")
+        bad |= isinstance(policy, All) and worst > 1e-8
+    if rep.b_prime_ratios:
+        print(f"decomposition ratio: max {_fmt(max(rep.b_prime_ratios))}")
+    return not bad
 
 
 def cmd_run(args) -> int:
@@ -181,17 +204,7 @@ def cmd_run(args) -> int:
                 m = oracle_point if oracle_point is not None else _oracle_point(problem)
             except (UnsupportedSetError, ValueError):
                 m = None
-        rep = condition_report(result, m)
-        print(f"fejer: worst margin {_fmt(rep.fejer_worst)} "
-              f"({rep.fejer_violations} violations)")
-        if rep.condition_b_residuals:
-            print(f"span condition: worst residual {_fmt(max(rep.condition_b_residuals))}")
-        if rep.b_prime_ratios:
-            print(f"decomposition ratio: max {_fmt(max(rep.b_prime_ratios))}")
-        if rep.sum_of_squares and m is not None:
-            bound = norm(problem.x0 - m) ** 2
-            print(f"sum of squared steps: {_fmt(rep.sum_of_squares[-1])} "
-                  f"(bound {_fmt(bound)})")
+        _print_certificates(result, problem.x0, m, policy)
     if result.stop_reason == "infeasible":
         return 1
     return 0
@@ -230,9 +243,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    problem = _load_problem(args)
-    p = _oracle_point(problem)
-    for v in p:
+    for v in _oracle_point(_load_problem(args)):
         print(_fmt(v))
     return 0
 
@@ -242,31 +253,11 @@ def cmd_verify(args) -> int:
     policy = _policy(args.q)
     stop = StoppingRule(stop_tol=args.stop_tol, max_iter=args.max_iter)
     result = _solve(problem, args.alg, policy, stop)
-    m = problem.member
-    if m is None:
-        m = _oracle_point(problem)
-    rep = condition_report(result, m)
-    ok = True
+    m = problem.member if problem.member is not None else _oracle_point(problem)
     print(f"problem: {problem.label}  algorithm: {args.alg}")
     print(f"converged: {result.converged} ({result.stop_reason}) "
           f"after {result.iterations} iterations")
-    print(f"fejer worst margin: {_fmt(rep.fejer_worst)} "
-          f"({rep.fejer_violations} violations)")
-    if rep.fejer_worst > 1e-9:
-        ok = False
-    bound = norm(problem.x0 - m) ** 2
-    if rep.sum_of_squares:
-        total = rep.sum_of_squares[-1]
-        print(f"sum of squared steps: {_fmt(total)} vs bound {_fmt(bound)}")
-        if total > bound + 1e-6:
-            ok = False
-    if rep.condition_b_residuals:
-        worst = max(rep.condition_b_residuals)
-        print(f"span-condition residual: worst {_fmt(worst)}")
-        if isinstance(policy, All) and worst > 1e-8:
-            ok = False
-    if rep.b_prime_ratios:
-        print(f"decomposition ratio: max {_fmt(max(rep.b_prime_ratios))}")
+    ok = _print_certificates(result, problem.x0, m, policy)
     dist = norm(result.solution - m)
     print(f"distance to certified member: {_fmt(dist)}")
     print("status: " + ("ok" if ok else "violated"))

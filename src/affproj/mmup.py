@@ -30,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import RCOND, as_matrix, norm
-from .oracle import StackedConstraints
 from .sets import CustomSet
 
 __all__ = [
@@ -187,19 +186,15 @@ def build_problem(pencil: PencilData, targets: TargetSpectrum) -> MmupProblem:
         dim,
         lambda x: project_s(x.reshape(2 * n, 2 * n)).reshape(-1),
         residual_fn=lambda x: _s_distance(x.reshape(2 * n, 2 * n)),
-        rows_fn=lambda: _rows_tuple(export_rows_s(n)),
+        rows_fn=lambda: export_rows_s(n),
     )
     prob.set_v = CustomSet(
         dim,
         lambda x: project_v(x.reshape(2 * n, 2 * n), prob).reshape(-1),
         residual_fn=lambda x: _v_distance(prob, x.reshape(2 * n, 2 * n)),
-        rows_fn=lambda: _rows_tuple(export_rows_v(prob)),
+        rows_fn=lambda: export_rows_v(prob),
     )
     return prob
-
-
-def _rows_tuple(sc: StackedConstraints):
-    return sc.C, sc.d
 
 
 def project_s(X) -> np.ndarray:
@@ -266,8 +261,8 @@ def pencil_residual(prob: MmupProblem, X) -> float:
     return norm(_constraint(prob, X))
 
 
-def export_rows_s(n: int) -> StackedConstraints:
-    """Row-constraint form of S on the flattened 2n x 2n variable.
+def export_rows_s(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-constraint form (C, d) of S on the flattened 2n x 2n variable.
 
     2n^2 rows pin the off-diagonal blocks to zero and n(n-1) rows tie
     the symmetric entries of the two diagonal blocks together.
@@ -294,11 +289,11 @@ def export_rows_s(n: int) -> StackedConstraints:
                 r[flat(off + j, off + i)] = -1.0
                 rows.append(r)
                 rhs.append(0.0)
-    return StackedConstraints(C=np.vstack(rows), d=np.array(rhs))
+    return np.vstack(rows), np.array(rhs)
 
 
-def export_rows_v(prob: MmupProblem) -> StackedConstraints:
-    """Row-constraint form of V on the flattened 2n x 2n variable.
+def export_rows_v(prob: MmupProblem) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-constraint form (C, d) of V on the flattened 2n x 2n variable.
 
     One row per entry (r, c) of the n x p constraint
     A + Ihat^T X W = 0: coefficient W[t, c] on X[r, t] and X[n + r, t].
@@ -314,7 +309,7 @@ def export_rows_v(prob: MmupProblem) -> StackedConstraints:
             row[r, :] += W[:, c]
             row[n + r, :] += W[:, c]
             rhs[r * p + c] = -prob.a[r, c]
-    return StackedConstraints(C=rows, d=rhs)
+    return rows, rhs
 
 
 def extract_update(X) -> Tuple[np.ndarray, np.ndarray]:

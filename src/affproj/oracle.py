@@ -10,8 +10,7 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,18 +24,12 @@ class UnsupportedSetError(TypeError):
     """A set lacks the row-constraint export the oracle needs."""
 
 
-@dataclass
-class StackedConstraints:
-    """All row constraints of a set family, concatenated."""
+def stack(sets: Sequence[AffineSet]) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate the row-constraint exports of all sets into one pair
+    (C, d), the same form each set's rows() returns.
 
-    C: np.ndarray
-    d: np.ndarray
-
-
-def stack(sets: Sequence[AffineSet]) -> StackedConstraints:
-    """Concatenate the row-constraint exports of all sets.
-
-    The stacked solution set is exactly the intersection of the family.
+    The stacked solution set {x : C x = d} is exactly the intersection of
+    the family.
     Raises UnsupportedSetError for sets without an export and ValueError
     beyond the row cap.
     """
@@ -60,11 +53,12 @@ def stack(sets: Sequence[AffineSet]) -> StackedConstraints:
     d = np.concatenate(rhs)
     if C.shape[0] > MAX_ROWS:
         raise ValueError(f"stacked system has {C.shape[0]} rows, above the cap of {MAX_ROWS}")
-    return StackedConstraints(C=C, d=d)
+    return C, d
 
 
-def direct_projection(x0, sc: StackedConstraints) -> np.ndarray:
-    """Projection of x0 onto the stacked solution set.
+def direct_projection(x0, rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Projection of x0 onto the solution set of rows = (C, d), as stack()
+    returns it.
 
     With the rows scaled to unit length, S C x = S d for S = diag(s),
     solves (S C C^T S) lam = S (C x0 - d) by min-norm least squares and
@@ -73,7 +67,7 @@ def direct_projection(x0, sc: StackedConstraints) -> np.ndarray:
     space.  Consistency is checked on the scaled system.
     """
     x0 = as_point(x0)
-    C, d = sc.C, sc.d
+    C, d = rows
     if C.shape[1] != x0.shape[0]:
         raise ValueError(f"dimension mismatch: {C.shape[1]} columns vs point of dim {x0.shape[0]}")
     G, s = unit_row_gram(C)

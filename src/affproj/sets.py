@@ -1,9 +1,10 @@
 """Closed affine subspaces and their exact projectors.
 
-Three concrete descriptors are provided: a single hyperplane
-{x : <a, x> = b}, a row-constraint set {x : C x = d}, and a custom set
-defined by a user-supplied exact projector.  A hyperplane's normal is
-never zero: a projection step that identifies no hyperplane records none.
+Every set is an AffineSet: a Hyperplane {x : <a, x> = b}, which is also
+what the accelerated solvers record, a row-constraint set {x : C x = d},
+or a custom set defined by a user-supplied exact projector.  A
+hyperplane's normal is never zero: a projection step that identifies no
+hyperplane records none.
 """
 
 from __future__ import annotations
@@ -28,10 +29,33 @@ class InfeasibleIntersectionError(RuntimeError):
     """A family of hyperplanes has empty intersection (numerically)."""
 
 
+class AffineSet:
+    """A closed affine subspace with an exact projection.
+
+    Subclasses implement project(); residual() is the distance
+    ||x - project(x)||.  Sets that can be written as {x : C x = d}
+    also implement rows(), returning the pair (C, d), for the direct
+    stacked-system oracle.
+    """
+
+    dim: int
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def residual(self, x) -> float:
+        x = as_point(x)
+        return norm(x - self.project(x))
+
+    def rows(self):
+        """Row-constraint form (C, d), or None when unavailable."""
+        return None
+
+
 @dataclass(frozen=True)
-class Hyperplane:
-    """{x : <normal, x> = offset}, with a nonzero normal; a zero one raises
-    ValueError."""
+class Hyperplane(AffineSet):
+    """The single-equation set {x : <normal, x> = offset}, with a nonzero
+    normal; a zero one raises ValueError."""
 
     normal: np.ndarray
     offset: float
@@ -48,14 +72,15 @@ class Hyperplane:
     def dim(self) -> int:
         return self.normal.shape[0]
 
+    def project(self, x) -> np.ndarray:
+        x = as_point(x)
+        a = self.normal
+        if x.shape != a.shape:
+            raise ValueError(f"dimension mismatch: point {x.shape} vs normal {a.shape}")
+        return x + ((self.offset - float(np.dot(a, x))) / float(np.dot(a, a))) * a
 
-def project_hyperplane(x, h: Hyperplane) -> np.ndarray:
-    """Exact projection onto a hyperplane."""
-    x = as_point(x)
-    a = h.normal
-    if x.shape != a.shape:
-        raise ValueError(f"dimension mismatch: point {x.shape} vs normal {a.shape}")
-    return x + ((h.offset - float(np.dot(a, x))) / float(np.dot(a, a))) * a
+    def rows(self):
+        return self.normal.reshape(1, -1), np.array([self.offset])
 
 
 def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: GramFactor):
@@ -100,40 +125,6 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
     A = np.vstack([h.normal for h in hyperplanes])
     b = np.array([h.offset for h in hyperplanes])
     return _window_step(x, A, b, np.arange(len(A)), GramFactor.of(A @ A.T))[0]
-
-
-class AffineSet:
-    """A closed affine subspace with an exact projection.
-
-    Subclasses implement project(); residual() is the distance
-    ||x - project(x)||.  Sets that can be written as {x : C x = d}
-    also implement rows() for the direct stacked-system oracle.
-    """
-
-    dim: int
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def residual(self, x) -> float:
-        x = as_point(x)
-        return norm(x - self.project(x))
-
-    def rows(self):
-        """Row-constraint form (C, d), or None when unavailable."""
-        return None
-
-
-class HyperplaneSet(AffineSet):
-    def __init__(self, h: Hyperplane):
-        self.h = h
-        self.dim = h.dim
-
-    def project(self, x):
-        return project_hyperplane(x, self.h)
-
-    def rows(self):
-        return self.h.normal.reshape(1, -1), np.array([self.h.offset])
 
 
 class RowConstraintSet(AffineSet):

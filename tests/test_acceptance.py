@@ -5,7 +5,10 @@ next to its bound (run with -s to see the lines on success; on failure
 the captured line appears in the report).
 """
 
+from functools import lru_cache
+
 import numpy as np
+import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
@@ -14,8 +17,7 @@ from affproj.cli import random_family
 from affproj.diagnostics import check_b_prime, count_fejer_violations, step_decompositions
 from affproj.linalg import as_point, inner, norm
 from affproj.oracle import direct_projection, stack
-from affproj.sets import (Hyperplane, HyperplaneSet, RowConstraintSet,
-                          project_hyperplane_intersection)
+from affproj.sets import Hyperplane, RowConstraintSet, project_hyperplane_intersection
 from affproj.solver import All, LastQ, StoppingRule, run_alg1, run_alg2, run_map
 
 STOP = StoppingRule(stop_tol=1e-10, max_iter=10000)
@@ -38,6 +40,23 @@ def _sample_family(seed):
         codims.append(c)
         budget -= c
     return random_family(dim, k, codims, seed)
+
+
+POLICIES = (All(), LastQ(2), LastQ(3), LastQ(5))
+
+
+@lru_cache(maxsize=None)
+def _family_solves(seed):
+    """The direct projection of _sample_family(seed) and its solves by name:
+    map, and alg1 and alg2 under each of POLICIES.  Cached, so that the
+    tests reading the same solves share them."""
+    sets, x0, _ = _sample_family(seed)
+    p = direct_projection(as_point(x0), stack(sets))
+    runs = {"map": run_map(sets, x0, stop=STOP)}
+    for run in (run_alg1, run_alg2):
+        for policy in POLICIES:
+            runs[f"{run.__name__} {policy}"] = run(sets, x0, policy=policy, stop=STOP)
+    return p, runs
 
 
 def test_one_pass_residual_collapse():
@@ -129,15 +148,10 @@ def test_solvers_match_direct_projection():
     set itself, so a later projection onto it moves the iterate only by
     roundoff, and that displacement must not enter a window as a
     hyperplane."""
-    policies = (All(), LastQ(2), LastQ(3), LastQ(5))
     worst, where = 0.0, None
     for seed in range(50):
-        sets, x0, _ = _sample_family(seed)
-        p = direct_projection(as_point(x0), stack(sets))
-        runs = [("map", run_map(sets, x0, stop=STOP))]
-        runs += [(f"{run.__name__} {policy}", run(sets, x0, policy=policy, stop=STOP))
-                 for run in (run_alg1, run_alg2) for policy in policies]
-        for name, r in runs:
+        p, runs = _family_solves(seed)
+        for name, r in runs.items():
             assert r.converged, (seed, name, r.stop_reason)
             d = norm(r.solution - p)
             if d > worst:
@@ -147,6 +161,32 @@ def test_solvers_match_direct_projection():
           f"50 random families x 9 solver configurations: worst distance {worst:.3e} "
           f"(bound 1e-6) {_verdict(ok)}")
     assert ok, (worst, where)
+
+
+ALG2_DRIFT = pytest.mark.xfail(
+    strict=True, reason="alg2 drift: corrected LastQ(2) iterates of seeds 0 and 20 leave "
+    "set 0 by 4.4e-8 and 3.4e-8, so their composite hyperplanes miss the intersection")
+
+
+@pytest.mark.parametrize("run,policy", [
+    pytest.param(run, policy, id=f"{run.__name__}-{policy}",
+                 marks=ALG2_DRIFT if (run, policy) == (run_alg2, LastQ(2)) else ())
+    for run in (run_alg1, run_alg2) for policy in POLICIES])
+def test_recorded_hyperplanes_contain_the_intersection(run, policy):
+    """Each projection identifies a hyperplane that contains the
+    intersection (the paper's first idea): every recorded hyperplane passes
+    through the direct projection p, to within 1e-11 max(1, ||p||)."""
+    worst, where = 0.0, None
+    for seed in range(50):
+        p, runs = _family_solves(seed)
+        for _, h in runs[f"{run.__name__} {policy}"].generated:
+            miss = h.residual(p) / max(1.0, norm(p))
+            if miss > worst:
+                worst, where = miss, seed
+    print(f"[5b] recorded hyperplanes of {run.__name__} {policy} contain the "
+          f"intersection over 50 random families: worst relative miss {worst:.3e} "
+          f"(bound 1e-11) {_verdict(worst <= 1e-11)}")
+    assert worst <= 1e-11, (worst, where)
 
 
 def test_invariant_suite():
@@ -202,8 +242,7 @@ def test_invariant_suite():
             hs.append(Hyperplane(a, inner(a, z)))
         x = rng.standard_normal(dim)
         chained = project_hyperplane_intersection(msub.project(x), hs)
-        joint = direct_projection(
-            as_point(x), stack([msub] + [HyperplaneSet(h) for h in hs]))
+        joint = direct_projection(as_point(x), stack([msub] + hs))
         worst_split = max(worst_split,
                           norm(chained - joint) / max(1.0, norm(joint)))
 

@@ -7,7 +7,7 @@ from affproj import mmup
 from affproj.cli import main, random_family
 from affproj.linalg import norm
 from affproj.oracle import direct_projection, stack
-from affproj.solver import All, LastQ, StoppingRule, run_alg2, run_map
+from affproj.solver import LastQ, StoppingRule, run_alg2, run_map
 
 EXP2_HEADER = ("iter,phase,set_index,step_norm,residual_max,"
                "residual_per_set_1,residual_per_set_2,dist_oracle")
@@ -59,7 +59,7 @@ def test_run_with_monitors_and_oracle(capsys):
                "--monitors", "--oracle"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "fejer: worst margin" in text
+    assert "fejer worst margin:" in text
     assert "distance to oracle projection:" in text
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from affproj.linalg import norm
-from affproj.mmup import (MmupProblem, PencilData, TargetPair, TargetSpectrum,
+from affproj.mmup import (PencilData, TargetPair, TargetSpectrum,
                           build_abc, build_problem, experiment1, experiment2,
                           export_rows_s, export_rows_v, extract_update,
                           load_problem_json,
@@ -92,8 +92,7 @@ def test_project_v_fixes_members():
 @pytest.mark.parametrize("seed,n", [(10, 2), (11, 4)])
 def test_project_v_matches_row_constraint_projection(seed, n):
     prob = small_problem(seed, n=n)
-    sc = export_rows_v(prob)
-    rc = RowConstraintSet(sc.C, sc.d)
+    rc = RowConstraintSet(*export_rows_v(prob))
     rng = np.random.default_rng(seed + 100)
     for _ in range(5):
         X = rng.standard_normal((2 * n, 2 * n))
@@ -203,38 +202,38 @@ def test_pencil_data_shape_validation():
 # -- row exports ------------------------------------------------------------
 
 def test_export_rows_s_n1():
-    sc = export_rows_s(1)
-    assert sc.C.shape == (2, 4)
+    C, d = export_rows_s(1)
+    assert C.shape == (2, 4)
     # the two off-diagonal entries of the 2x2 variable are pinned to zero
-    np.testing.assert_allclose(sorted(np.argmax(sc.C, axis=1)), [1, 2])
-    np.testing.assert_allclose(sc.d, 0.0)
+    np.testing.assert_allclose(sorted(np.argmax(C, axis=1)), [1, 2])
+    np.testing.assert_allclose(d, 0.0)
 
 
 def test_export_rows_s_counts_and_membership():
     n = 3
-    sc = export_rows_s(n)
-    assert sc.C.shape == (2 * n * n + n * (n - 1), (2 * n) ** 2)
+    C, d = export_rows_s(n)
+    assert C.shape == (2 * n * n + n * (n - 1), (2 * n) ** 2)
     rng = np.random.default_rng(12)
     member = project_s(rng.standard_normal((2 * n, 2 * n)))
-    assert norm(sc.C @ member.reshape(-1) - sc.d) <= 1e-12
+    assert norm(C @ member.reshape(-1) - d) <= 1e-12
 
 
 def test_export_rows_v_counts_and_membership():
     prob = small_problem(13)
-    sc = export_rows_v(prob)
-    assert sc.C.shape == (prob.n * prob.p, prob.dim)
+    C, d = export_rows_v(prob)
+    assert C.shape == (prob.n * prob.p, prob.dim)
     rng = np.random.default_rng(14)
     member = project_v(rng.standard_normal((4, 4)), prob)
-    assert norm(sc.C @ member.reshape(-1) - sc.d) <= 1e-10
+    assert norm(C @ member.reshape(-1) - d) <= 1e-10
 
 
 def test_problem_sets_export_same_rows():
     prob = small_problem(15)
     s_rows = prob.set_s.rows()
     v_rows = prob.set_v.rows()
-    np.testing.assert_array_equal(s_rows[0], export_rows_s(prob.n).C)
-    np.testing.assert_array_equal(v_rows[0], export_rows_v(prob).C)
-    np.testing.assert_array_equal(v_rows[1], export_rows_v(prob).d)
+    np.testing.assert_array_equal(s_rows[0], export_rows_s(prob.n)[0])
+    np.testing.assert_array_equal(v_rows[0], export_rows_v(prob)[0])
+    np.testing.assert_array_equal(v_rows[1], export_rows_v(prob)[1])
 
 
 # -- residual and update extraction ------------------------------------------

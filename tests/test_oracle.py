@@ -2,26 +2,24 @@ import numpy as np
 import pytest
 
 from affproj.linalg import inner, norm
-from affproj.oracle import (MAX_ROWS, StackedConstraints, UnsupportedSetError,
-                            direct_projection, stack)
-from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet,
-                          InfeasibleSetError, RowConstraintSet)
+from affproj.oracle import MAX_ROWS, UnsupportedSetError, direct_projection, stack
+from affproj.sets import CustomSet, Hyperplane, InfeasibleSetError, RowConstraintSet
 from affproj.solver import All, StoppingRule, run_alg1
 
 
 def test_stack_single_hyperplane_gives_one_row():
-    sc = stack([HyperplaneSet(Hyperplane([1.0, 2.0], 3.0))])
-    assert sc.C.shape == (1, 2)
-    np.testing.assert_allclose(sc.C[0], [1.0, 2.0])
-    np.testing.assert_allclose(sc.d, [3.0])
+    C, d = stack([Hyperplane([1.0, 2.0], 3.0)])
+    assert C.shape == (1, 2)
+    np.testing.assert_allclose(C[0], [1.0, 2.0])
+    np.testing.assert_allclose(d, [3.0])
 
 
 def test_stack_two_coordinate_planes_solution_is_axis():
     sets = [RowConstraintSet([[1.0, 0.0, 0.0]], [0.0]),
             RowConstraintSet([[0.0, 1.0, 0.0]], [0.0])]
-    sc = stack(sets)
-    assert sc.C.shape == (2, 3)
-    p = direct_projection([1.0, 1.0, 1.0], sc)
+    rows = stack(sets)
+    assert rows[0].shape == (2, 3)
+    p = direct_projection([1.0, 1.0, 1.0], rows)
     np.testing.assert_allclose(p, [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -48,32 +46,29 @@ def test_feasible_point_is_fixed():
     rng = np.random.default_rng(0)
     C = rng.standard_normal((3, 7))
     z = rng.standard_normal(7)
-    sc = StackedConstraints(C=C, d=C @ z)
-    np.testing.assert_allclose(direct_projection(z, sc), z, atol=1e-10)
+    np.testing.assert_allclose(direct_projection(z, (C, C @ z)), z, atol=1e-10)
 
 
 def test_single_hyperplane_matches_closed_form():
     h = Hyperplane([1.0, 1.0], 2.0)
-    sc = stack([HyperplaneSet(h)])
-    p = direct_projection([0.0, 0.0], sc)
+    p = direct_projection([0.0, 0.0], stack([h]))
     np.testing.assert_allclose(p, [1.0, 1.0], atol=1e-12)
 
 
 def test_inconsistent_stack_raises():
-    sc = StackedConstraints(C=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                            d=np.array([0.0, 1.0]))
+    rows = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0])
     with pytest.raises(InfeasibleSetError):
-        direct_projection([0.0, 0.0], sc)
+        direct_projection([0.0, 0.0], rows)
 
 
 def test_projection_is_idempotent():
     rng = np.random.default_rng(1)
     C = rng.standard_normal((4, 9))
     z = rng.standard_normal(9)
-    sc = StackedConstraints(C=C, d=C @ z)
+    rows = C, C @ z
     x0 = rng.standard_normal(9)
-    p = direct_projection(x0, sc)
-    p2 = direct_projection(p, sc)
+    p = direct_projection(x0, rows)
+    p2 = direct_projection(p, rows)
     assert norm(p2 - p) <= 1e-10 * max(1.0, norm(p))
 
 
@@ -81,11 +76,11 @@ def test_variational_orthogonality_against_sampled_members():
     rng = np.random.default_rng(2)
     C = rng.standard_normal((3, 8))
     z = rng.standard_normal(8)
-    sc = StackedConstraints(C=C, d=C @ z)
+    rows = C, C @ z
     x0 = rng.standard_normal(8)
-    p = direct_projection(x0, sc)
+    p = direct_projection(x0, rows)
     for _ in range(10):
-        m = direct_projection(rng.standard_normal(8), sc)
+        m = direct_projection(rng.standard_normal(8), rows)
         assert abs(inner(x0 - p, m - p)) < 1e-9 * max(1.0, norm(x0 - p) * norm(m - p))
 
 

@@ -5,21 +5,20 @@ from hypothesis import strategies as st
 
 from affproj.linalg import inner, norm
 from affproj.oracle import direct_projection, stack
-from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet,
-                          InfeasibleIntersectionError, InfeasibleSetError,
-                          RowConstraintSet, project_hyperplane,
+from affproj.sets import (AffineSet, CustomSet, Hyperplane, InfeasibleIntersectionError,
+                          InfeasibleSetError, RowConstraintSet,
                           project_hyperplane_intersection)
 
 
 def test_hyperplane_axis_aligned_projection():
     h = Hyperplane([1.0, 0.0], 1.0)
-    np.testing.assert_allclose(project_hyperplane([2.0, 0.0], h), [1.0, 0.0])
+    np.testing.assert_allclose(h.project([2.0, 0.0]), [1.0, 0.0])
 
 
 def test_hyperplane_member_is_fixed():
     h = Hyperplane([1.0, 2.0], 5.0)
     x = np.array([1.0, 2.0])
-    np.testing.assert_allclose(project_hyperplane(x, h), x)
+    np.testing.assert_allclose(h.project(x), x)
 
 
 def test_a_zero_normal_of_either_sign_raises():
@@ -35,7 +34,15 @@ def test_zero_normal_with_offset_is_rejected():
 
 def test_hyperplane_dimension_mismatch():
     with pytest.raises(ValueError):
-        project_hyperplane([1.0, 2.0, 3.0], Hyperplane([1.0, 0.0], 0.0))
+        Hyperplane([1.0, 0.0], 0.0).project([1.0, 2.0, 3.0])
+
+
+def test_hyperplane_is_an_affine_set_with_one_row():
+    h = Hyperplane([1.0, 2.0], 3.0)
+    assert isinstance(h, AffineSet) and h.dim == 2
+    C, d = h.rows()
+    np.testing.assert_array_equal(C, [[1.0, 2.0]])
+    np.testing.assert_array_equal(d, [3.0])
 
 
 def test_row_constraint_coordinate_plane():
@@ -52,7 +59,7 @@ def test_row_constraint_member_is_fixed():
 
 def test_row_constraint_single_row_equals_hyperplane():
     p1 = RowConstraintSet([[1.0, 1.0]], [2.0]).project([0.0, 0.0])
-    p2 = project_hyperplane([0.0, 0.0], Hyperplane([1.0, 1.0], 2.0))
+    p2 = Hyperplane([1.0, 1.0], 2.0).project([0.0, 0.0])
     np.testing.assert_allclose(p1, p2, atol=1e-12)
     np.testing.assert_allclose(p1, [1.0, 1.0], atol=1e-12)
 
@@ -81,7 +88,7 @@ def test_intersection_singleton_matches_single_hyperplane():
     h = Hyperplane([1.0, 2.0], 3.0)
     x = np.array([5.0, -1.0])
     np.testing.assert_allclose(project_hyperplane_intersection(x, [h]),
-                               project_hyperplane(x, h), atol=1e-12)
+                               h.project(x), atol=1e-12)
 
 
 def test_intersection_orthogonal_normals_act_componentwise():
@@ -127,7 +134,7 @@ def test_residual_zero_for_member():
 
 
 def test_residual_distance_to_line():
-    s = HyperplaneSet(Hyperplane([1.0, 0.0], 1.0))
+    s = Hyperplane([1.0, 0.0], 1.0)
     assert s.residual([2.0, 0.0]) == pytest.approx(1.0)
 
 

@@ -9,7 +9,7 @@ from affproj.cli import random_family as cli_random_family
 from affproj.diagnostics import count_fejer_violations, step_decompositions
 from affproj.linalg import TOL_FEAS, GramFactor, inner, lstsq_min_norm, norm
 from affproj.oracle import direct_projection, stack
-from affproj.sets import (CustomSet, Hyperplane, HyperplaneSet, InfeasibleIntersectionError,
+from affproj.sets import (CustomSet, Hyperplane, InfeasibleIntersectionError,
                           InfeasibleSetError, RowConstraintSet,
                           project_hyperplane_intersection)
 from affproj.solver import (ROUNDOFF_STEP, All, HyperplaneBuffer, LastQ, StoppingRule, _correct,
@@ -592,7 +592,7 @@ def assert_matches_stacked_reference(x, buf, recorded, i, near_pair=False):
         assert norm(p - q) <= tol
         return
     factor = buf.window(selected)[3]
-    kept = [HyperplaneSet(buf.generated[selected[j]][1]) for j in factor.kept[:factor.rank]]
+    kept = [buf.generated[selected[j]][1] for j in factor.kept[:factor.rank]]
     assert norm(p - direct_projection(x, stack(kept))) <= tol
     longest = max(norm(a) for a in normals)
     assert norm(p - q) <= 1e-7 * np.abs(ref_lam).max() * longest + tol
@@ -695,7 +695,7 @@ def test_factor_keeps_a_short_row_that_a_later_long_row_would_cut():
     warnings = []
     p = _correct(x, buf, True, 1, warnings)[0]
     q = stacked_correct(x, buf, True, 1, [])[0]
-    exact = direct_projection(x, stack([HyperplaneSet(h) for _, h in buf.generated]))
+    exact = direct_projection(x, stack([h for _, h in buf.generated]))
     assert not warnings and buf.factor.rank == 2
     assert norm(p - exact) <= 1e-9 * norm(x)
     assert abs(a1 @ q - a1 @ z) > 0.1
