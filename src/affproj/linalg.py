@@ -116,8 +116,9 @@ class GramFactor:
 
     GramFactor() starts an empty factor that append grows by one row with
     one triangular solve: O(rank^2) per row, never a refactor.
-    GramFactor.of(G) factors a whole G with one LAPACK call (dpotrf) when
-    every pivot passes, and row by row otherwise.
+    GramFactor.of(G) factors a whole G with one LAPACK call (dpotrf), keeps
+    its leading rows up to the first pivot that fails the rank rule, and
+    appends the rows from there on one by one.
     """
 
     def __init__(self):
@@ -134,11 +135,13 @@ class GramFactor:
         if k:
             tops = np.maximum.accumulate(G.diagonal())
             L, info = lapack.dpotrf(G, lower=1, clean=1)
-            if info == 0 and np.all(L.diagonal() ** 2 > RCOND * tops):
-                f.L, f.kept, f.rank, f.size, f.top = L, np.arange(k), k, k, float(tops[-1])
-                return f
-        for j in range(k):
-            f.append(G[j, :j + 1])
+            done = info - 1 if info else k  # leading columns dpotrf completed
+            passed = L.diagonal()[:done] ** 2 > RCOND * tops[:done]
+            j = done if passed.all() else int(np.argmin(passed))
+            f.L, f.kept, f.rank, f.size = L, np.arange(k), j, j
+            f.top = float(tops[j - 1]) if j else 0.0
+        for i in range(f.size, k):
+            f.append(G[i, :i + 1])
         return f
 
     def append(self, g) -> None:

@@ -268,28 +268,18 @@ def export_rows_s(n: int) -> Tuple[np.ndarray, np.ndarray]:
     the symmetric entries of the two diagonal blocks together.
     """
     m = 2 * n
-    rows = []
-    rhs = []
-
-    def flat(i, j):
-        return i * m + j
-
-    for i in range(m):
-        for j in range(m):
-            if (i < n) != (j < n):
-                r = np.zeros(m * m)
-                r[flat(i, j)] = 1.0
-                rows.append(r)
-                rhs.append(0.0)
-    for off in (0, n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = np.zeros(m * m)
-                r[flat(off + i, off + j)] = 1.0
-                r[flat(off + j, off + i)] = -1.0
-                rows.append(r)
-                rhs.append(0.0)
-    return np.vstack(rows), np.array(rhs)
+    i, j = np.divmod(np.arange(m * m), m)
+    zero = np.flatnonzero((i < n) != (j < n))
+    iu, ju = np.triu_indices(n, 1)
+    upper = np.concatenate([iu * m + ju, (iu + n) * m + ju + n])
+    lower = np.concatenate([ju * m + iu, (ju + n) * m + iu + n])
+    k = len(zero)
+    tied = np.arange(k, k + len(upper))
+    C = np.zeros((k + len(upper), m * m))
+    C[np.arange(k), zero] = 1.0
+    C[tied, upper] = 1.0
+    C[tied, lower] = -1.0
+    return C, np.zeros(len(C))
 
 
 def export_rows_v(prob: MmupProblem) -> Tuple[np.ndarray, np.ndarray]:

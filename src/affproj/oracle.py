@@ -1,11 +1,11 @@
-"""Ground-truth projection by direct least squares on stacked constraints.
+"""Ground-truth projection by a direct solve on stacked constraints.
 
 Every set that can export a row-constraint form {x : C x = d} can be
 stacked into one big consistent system whose solution set is exactly
-the intersection; the projection of any point onto it is then a single
-dense min-norm solve.  This is cubic in the total row count and exists
-to validate the iterative solvers, so it is capped at a few thousand
-rows.
+the intersection; the projection of any point onto it then takes one
+Cholesky factor of the unit-row Gram matrix of C.  Forming and factoring
+that matrix is cubic in the total row count, and the oracle exists to
+validate the iterative solvers, so it is capped at a few thousand rows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import TOL_FEAS, as_point, lstsq_min_norm, norm, unit_row_gram
+from .linalg import TOL_FEAS, GramFactor, as_point, gram_solve, norm, unit_row_gram
 from .sets import AffineSet, InfeasibleSetError
 
 MAX_ROWS = 5000
@@ -61,17 +61,20 @@ def direct_projection(x0, rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     returns it.
 
     With the rows scaled to unit length, S C x = S d for S = diag(s),
-    solves (S C C^T S) lam = S (C x0 - d) by min-norm least squares and
-    returns x0 - C^T S lam; the correction lies in the row space of C,
-    which is the orthogonal complement of the solution set's direction
-    space.  Consistency is checked on the scaled system.
+    solves (S C C^T S) lam = S (C x0 - d) with the GramFactor of that
+    matrix and returns x0 - C^T S lam; the correction lies in the row
+    space of C, which is the orthogonal complement of the solution set's
+    direction space.  A row whose unit direction lies within sqrt(RCOND)
+    of the span of the rows before it stays out of the factor (the rank
+    rule of GramFactor) and gets lam_j = 0.  Consistency is checked on
+    the whole scaled system, the rows left out included.
     """
     x0 = as_point(x0)
     C, d = rows
     if C.shape[1] != x0.shape[0]:
         raise ValueError(f"dimension mismatch: {C.shape[1]} columns vs point of dim {x0.shape[0]}")
     G, s = unit_row_gram(C)
-    lam = lstsq_min_norm(G, s * (C @ x0 - d))
+    lam = gram_solve(GramFactor.of(G), s * (C @ x0 - d))
     p = x0 - C.T @ (s * lam)
     if norm(s * (C @ p - d)) > TOL_FEAS * max(1.0, norm(s * d)):
         raise InfeasibleSetError("stacked constraint system is inconsistent")

@@ -52,10 +52,11 @@ class AffineSet:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperplane(AffineSet):
     """The single-equation set {x : <normal, x> = offset}, with a nonzero
-    normal; a zero one raises ValueError."""
+    normal; a zero one raises ValueError.  Like every set, a hyperplane
+    compares and hashes by identity."""
 
     normal: np.ndarray
     offset: float

@@ -137,10 +137,41 @@ def test_gram_factor_of_a_whole_gram_equals_the_one_grown_row_by_row(repeat):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((5, 9))
     if repeat:
-        A[3] = A[1]  # a zero pivot: GramFactor.of takes the row-by-row path
+        A[3] = A[1]  # a zero pivot: GramFactor.of appends rows 3 and 4 one by one
     G = A @ A.T
     whole, grown = GramFactor.of(G), factor_by_rows(G)
     assert whole.rank == grown.rank == 5 - repeat
+    np.testing.assert_array_equal(whole.kept[:whole.rank], grown.kept[:grown.rank])
+    r = whole.rank
+    np.testing.assert_allclose(np.tril(whole.L[:r, :r]), grown.L[:r, :r], rtol=1e-12)
+
+
+@pytest.mark.parametrize("gaps", [(0.0, 0.0), (1e-9, 0.0), (1e-9, 1e-9)],
+                         ids=["dpotrf-stops-at-25", "dpotrf-stops-at-33", "dpotrf-finishes"])
+def test_gram_factor_of_keeps_the_whole_factor_before_a_late_failing_pivot(gaps, monkeypatch):
+    """Row 25 is row 3 plus row 7 and row 33 is twice row 11, each plus gap
+    times a random row, so row 25's pivot is the first to fail the rank rule;
+    dpotrf stops at the first exactly dependent row, or finishes.
+    GramFactor.of keeps the dpotrf factor of rows 0-24, appends only rows
+    25-39, and ends where the row-by-row factor does."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 60))
+    noise = rng.standard_normal((2, 60))
+    A[25] = A[3] + A[7] + gaps[0] * noise[0]
+    A[33] = 2.0 * A[11] + gaps[1] * noise[1]
+    G = A @ A.T
+    appended = []
+    append = GramFactor.append
+
+    def counted_append(self, g):
+        appended.append(g.shape[0] - 1)
+        append(self, g)
+
+    monkeypatch.setattr(GramFactor, "append", counted_append)
+    whole = GramFactor.of(G)
+    assert appended == list(range(25, 40))
+    grown = factor_by_rows(G)
+    assert whole.rank == grown.rank == 38
     np.testing.assert_array_equal(whole.kept[:whole.rank], grown.kept[:grown.rank])
     r = whole.rank
     np.testing.assert_allclose(np.tril(whole.L[:r, :r]), grown.L[:r, :r], rtol=1e-12)

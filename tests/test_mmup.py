@@ -218,6 +218,31 @@ def test_export_rows_s_counts_and_membership():
     assert norm(C @ member.reshape(-1) - d) <= 1e-12
 
 
+def _rows_s_by_loop(n):
+    """S's rows built one at a time, in export_rows_s's order."""
+    m = 2 * n
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            if (i < n) != (j < n):
+                rows.append(np.zeros(m * m))
+                rows[-1][i * m + j] = 1.0
+    for off in (0, n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows.append(np.zeros(m * m))
+                rows[-1][(off + i) * m + off + j] = 1.0
+                rows[-1][(off + j) * m + off + i] = -1.0
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_export_rows_s_matches_the_rows_built_one_at_a_time(n):
+    C, d = export_rows_s(n)
+    np.testing.assert_array_equal(C, _rows_s_by_loop(n))
+    np.testing.assert_array_equal(d, np.zeros(len(C)))
+
+
 def test_export_rows_v_counts_and_membership():
     prob = small_problem(13)
     C, d = export_rows_v(prob)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from affproj.linalg import inner, norm
+from affproj.linalg import inner, lstsq_min_norm, norm, unit_row_gram
+from affproj.mmup import (PencilData, TargetPair, TargetSpectrum, build_problem, experiment1,
+                          experiment2)
 from affproj.oracle import MAX_ROWS, UnsupportedSetError, direct_projection, stack
 from affproj.sets import CustomSet, Hyperplane, InfeasibleSetError, RowConstraintSet
 from affproj.solver import All, StoppingRule, run_alg1
@@ -96,3 +98,104 @@ def test_iterative_and_direct_projections_agree():
     r = run_alg1(sets, x0, policy=All(), stop=StoppingRule(1e-10, 1000))
     assert r.converged
     assert norm(r.solution - p) <= 1e-8
+
+
+def _min_norm_reference(x0, C, d):
+    """The projection by a min-norm least-squares solve of the same
+    unit-row Gram system direct_projection factors."""
+    G, s = unit_row_gram(C)
+    return x0 - C.T @ (s * lstsq_min_norm(G, s * (C @ x0 - d)))
+
+
+def _consistent(C, seed):
+    rng = np.random.default_rng(seed)
+    return C, C @ rng.standard_normal(C.shape[1]), rng.standard_normal(C.shape[1])
+
+
+def _random_stack(seed, duplicates=None):
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((30, 50))
+    if duplicates == "end":
+        C = np.vstack([C, C[[3, 17, 29]]])
+    elif duplicates == "start":
+        C = np.vstack([C[[3, 17, 29]], C])
+    return _consistent(C, seed + 1)
+
+
+def _low_rank_stack(seed):
+    rng = np.random.default_rng(seed)
+    return _consistent(rng.standard_normal((40, 8)) @ rng.standard_normal((8, 50)), seed + 1)
+
+
+def _pencil_stack(prob):
+    C, d = stack(prob.sets)
+    return C, d, prob.flatten(prob.x0)
+
+
+def _chain_twin(n=20):
+    """A uniform spring chain of n masses with its rigid mode moved to
+    -0.018 and one conjugate target pair: 1 240 stacked rows at n = 20."""
+    K = np.diag(np.r_[1.0, 2.0 * np.ones(n - 2), 1.0])
+    K += np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
+    re, im = np.linalg.qr(np.random.default_rng(97).standard_normal((n, 2)))[0].T
+    targets = TargetSpectrum([
+        TargetPair(-0.018, np.ones(n) / np.sqrt(n), conjugate_pair=False),
+        TargetPair(complex(-0.3, 0.75), (re + 1j * im) / np.sqrt(2.0), conjugate_pair=True),
+    ])
+    return build_problem(PencilData(4.0 * np.eye(n), 4.0 * np.eye(n), K), targets)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _random_stack(0), id="full-rank"),
+    pytest.param(lambda: _random_stack(1, "end"), id="duplicates-at-end"),
+    pytest.param(lambda: _random_stack(2, "start"), id="duplicates-at-start"),
+    pytest.param(lambda: _low_rank_stack(3), id="low-rank"),
+    pytest.param(lambda: _pencil_stack(experiment1()[0]), id="experiment1"),
+    pytest.param(lambda: _pencil_stack(experiment2()[0]), id="experiment2"),
+    pytest.param(lambda: _pencil_stack(_chain_twin()), id="pencil-twin"),
+])
+def test_cholesky_oracle_matches_the_min_norm_solve(make):
+    C, d, x0 = make()
+    p = direct_projection(x0, (C, d))
+    assert norm(p - _min_norm_reference(x0, C, d)) <= 1e-12 * max(1.0, norm(x0))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _random_stack(4, "end"), id="duplicate-with-another-rhs"),
+    pytest.param(lambda: _low_rank_stack(5), id="low-rank-off-range"),
+])
+def test_inconsistent_stacks_raise(make):
+    C, d, x0 = make()
+    d = d.copy()
+    d[-1] += 1e-3
+    with pytest.raises(InfeasibleSetError):
+        direct_projection(x0, (C, d))
+
+
+def _near_parallel(gap, seed):
+    """A consistent family of 10 Gaussian rows in dim 30 and an 11th row
+    `gap` times the length of row 0 away from it."""
+    rng = np.random.default_rng([seed, 7])
+    C = rng.standard_normal((10, 30))
+    u = rng.standard_normal(30)
+    C = np.vstack([C, C[0] + gap * norm(C[0]) * u / norm(u)])
+    return _consistent(C, seed)
+
+
+def _near_parallel_gap(gap, seed):
+    C, d, x0 = _near_parallel(gap, seed)
+    p = direct_projection(x0, (C, d))
+    exact = x0 - np.linalg.lstsq(C, C @ x0 - d, rcond=None)[0]
+    return norm(p - exact) / max(1.0, norm(x0))
+
+
+def test_near_parallel_rows_1e4_apart_project_like_lstsq_on_c():
+    assert max(_near_parallel_gap(1e-4, seed) for seed in range(20)) <= 5e-7
+
+
+@pytest.mark.xfail(strict=True, raises=InfeasibleSetError,
+                   reason="the Gram system squares the conditioning: the rank rule drops a "
+                   "unit row within 1e-6 of the span of the rows before it, and the "
+                   "feasibility check then sees it missed by more than 1e-8")
+def test_near_parallel_rows_1e6_apart_project_like_lstsq_on_c():
+    assert _near_parallel_gap(1e-6, 0) <= 5e-7

@@ -45,6 +45,14 @@ def test_hyperplane_is_an_affine_set_with_one_row():
     np.testing.assert_array_equal(d, [3.0])
 
 
+def test_hyperplanes_compare_and_hash_by_identity():
+    h, twin = Hyperplane([1.0, 0.0], 1.0), Hyperplane([1.0, 0.0], 1.0)
+    assert h == h and h != twin
+    assert hash(h) == hash(h)
+    seen = {h: "h", twin: "twin"}
+    assert seen[h] == "h" and seen[twin] == "twin"
+
+
 def test_row_constraint_coordinate_plane():
     p = RowConstraintSet([[1.0, 0.0]], [0.0]).project([3.0, 5.0])
     np.testing.assert_allclose(p, [0.0, 5.0])
