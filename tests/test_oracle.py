@@ -172,25 +172,20 @@ def test_inconsistent_stacks_raise(make):
         direct_projection(x0, (C, d))
 
 
-def _near_parallel(gap, seed):
-    """A consistent family of 10 Gaussian rows in dim 30 and an 11th row
+def _near_parallel_miss(gap, seed):
+    """Relative distance from the exact projection, np.linalg.lstsq on C,
+    on a consistent family of 10 Gaussian rows in dim 30 and an 11th row
     `gap` times the length of row 0 away from it."""
     rng = np.random.default_rng([seed, 7])
     C = rng.standard_normal((10, 30))
     u = rng.standard_normal(30)
-    C = np.vstack([C, C[0] + gap * norm(C[0]) * u / norm(u)])
-    return _consistent(C, seed)
-
-
-def _near_parallel_gap(gap, seed):
-    C, d, x0 = _near_parallel(gap, seed)
-    p = direct_projection(x0, (C, d))
+    C, d, x0 = _consistent(np.vstack([C, C[0] + gap * norm(C[0]) * u / norm(u)]), seed)
     exact = x0 - np.linalg.lstsq(C, C @ x0 - d, rcond=None)[0]
-    return norm(p - exact) / max(1.0, norm(x0))
+    return norm(direct_projection(x0, (C, d)) - exact) / max(1.0, norm(x0))
 
 
 def test_near_parallel_rows_1e4_apart_project_like_lstsq_on_c():
-    assert max(_near_parallel_gap(1e-4, seed) for seed in range(20)) <= 5e-7
+    assert max(_near_parallel_miss(1e-4, seed) for seed in range(20)) <= 5e-7
 
 
 @pytest.mark.xfail(strict=True, raises=InfeasibleSetError,
@@ -198,4 +193,4 @@ def test_near_parallel_rows_1e4_apart_project_like_lstsq_on_c():
                    "unit row within 1e-6 of the span of the rows before it, and the "
                    "feasibility check then sees it missed by more than 1e-8")
 def test_near_parallel_rows_1e6_apart_project_like_lstsq_on_c():
-    assert _near_parallel_gap(1e-6, 0) <= 5e-7
+    assert _near_parallel_miss(1e-6, 0) <= 5e-7
