@@ -10,15 +10,15 @@ from .diagnostics import (ConditionReport, IterationRecord, check_b_prime, check
                           condition_report, step_decompositions)
 from .linalg import gram_solve, inner, lstsq_min_norm, norm
 from .oracle import UnsupportedSetError, direct_projection, stack
-from .sets import (AffineSet, CustomSet, Hyperplane, InfeasibleIntersectionError,
-                   InfeasibleSetError, RowConstraintSet, project_hyperplane_intersection)
+from .sets import (AffineSet, Hyperplane, InfeasibleIntersectionError, InfeasibleSetError,
+                   RowConstraintSet, project_hyperplane_intersection)
 from .solver import (All, LastQ, SolveResult, StoppingRule, WindowPolicy, run_alg1, run_alg2,
                      run_map)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSet", "All", "ConditionReport", "CustomSet", "Hyperplane",
+    "AffineSet", "All", "ConditionReport", "Hyperplane",
     "InfeasibleIntersectionError", "InfeasibleSetError", "IterationRecord",
     "LastQ", "RowConstraintSet", "SolveResult", "StoppingRule",
     "UnsupportedSetError", "WindowPolicy",

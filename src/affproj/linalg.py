@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-# Absolute tolerance for membership / idempotency assertions on
-# unit-scale problems.
+# Absolute displacement at or below which alg2 treats a composite step as
+# degenerate and records no hyperplane for it.
 TOL_LIN = 1e-10
 
 # Absolute residual above which a constraint system is declared

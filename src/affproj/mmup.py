@@ -13,15 +13,16 @@ identities, and A = M Y Lam^2 in column form.  Complex conjugate target
 pairs are stored once and expanded into real/imaginary column pairs so
 the whole computation stays real.
 
-Both sets have closed-form projectors and row-constraint exports, so
-all solvers and the direct oracle apply.  Matrices are flattened
-row-major when treated as points.
+prob.set_s and prob.set_v are AffineSets on the flattened variable
+(matrices are flattened row-major when treated as points).  Each has a
+closed-form projector, a closed-form residual and a row-constraint
+export, so all solvers and the direct oracle apply.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import RCOND, as_matrix, norm
-from .sets import CustomSet
+from .sets import AffineSet
 
 __all__ = [
     "PencilData", "TargetPair", "TargetSpectrum", "MmupProblem",
@@ -131,8 +132,6 @@ class MmupProblem:
     b: np.ndarray           # n x p
     c: np.ndarray           # n x p
     w: np.ndarray           # 2n x p, C stacked on B
-    set_s: CustomSet = field(repr=False, default=None)
-    set_v: CustomSet = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -141,6 +140,14 @@ class MmupProblem:
     @property
     def p(self) -> int:
         return self.a.shape[1]
+
+    @cached_property
+    def set_s(self) -> AffineSet:
+        return _BlockSymmetric(self)
+
+    @cached_property
+    def set_v(self) -> AffineSet:
+        return _Assignment(self)
 
     @property
     def sets(self) -> list:
@@ -179,22 +186,56 @@ def build_problem(pencil: PencilData, targets: TargetSpectrum) -> MmupProblem:
     X0 = np.zeros((2 * n, 2 * n))
     X0[:n, :n] = pencil.k
     X0[n:, n:] = pencil.d
-    prob = MmupProblem(pencil=pencil, targets=targets, x0=X0,
-                       a=A, b=B, c=C, w=W)
-    dim = 4 * n * n
-    prob.set_s = CustomSet(
-        dim,
-        lambda x: project_s(x.reshape(2 * n, 2 * n)).reshape(-1),
-        residual_fn=lambda x: _s_distance(x.reshape(2 * n, 2 * n)),
-        rows_fn=lambda: export_rows_s(n),
-    )
-    prob.set_v = CustomSet(
-        dim,
-        lambda x: project_v(x.reshape(2 * n, 2 * n), prob).reshape(-1),
-        residual_fn=lambda x: _v_distance(prob, x.reshape(2 * n, 2 * n)),
-        rows_fn=lambda: export_rows_v(prob),
-    )
-    return prob
+    return MmupProblem(pencil=pencil, targets=targets, x0=X0, a=A, b=B, c=C, w=W)
+
+
+class _PencilSet(AffineSet):
+    """A set of flattened 2n x 2n matrices of one problem.  Its methods
+    reshape the point without checking it; project_s, project_v and
+    as_matrix check it once."""
+
+    def __init__(self, prob: MmupProblem):
+        self.prob = prob
+        self.dim = prob.dim
+
+    def _square(self, x) -> np.ndarray:
+        m = 2 * self.prob.n
+        return np.reshape(x, (m, m))
+
+
+class _BlockSymmetric(_PencilSet):
+    """S, projected by project_s."""
+
+    def project(self, x) -> np.ndarray:
+        return project_s(self._square(x)).reshape(-1)
+
+    def residual(self, x) -> float:
+        """||x - project(x)||: the off-diagonal blocks together with the
+        antisymmetric halves of the diagonal blocks."""
+        X = as_matrix(self._square(x))
+        n = self.prob.n
+        off = X[:n, n:], X[n:, :n]
+        skew = 0.5 * (X[:n, :n] - X[:n, :n].T), 0.5 * (X[n:, n:] - X[n:, n:].T)
+        return float(np.sqrt(sum(float(np.vdot(b, b)) for b in off + skew)))
+
+    def rows(self):
+        return export_rows_s(self.prob.n)
+
+
+class _Assignment(_PencilSet):
+    """V, projected by project_v."""
+
+    def project(self, x) -> np.ndarray:
+        return project_v(self._square(x), self.prob).reshape(-1)
+
+    def residual(self, x) -> float:
+        """||x - project(x)|| = ||Ihat Sigma W^T||_F
+        = sqrt(1/2 sum(R * (R (W^T W)^{-1})))."""
+        R = _constraint(self.prob, as_matrix(self._square(x)))
+        return float(np.sqrt(max(0.0, 0.5 * float(np.sum(R * (R @ self.prob.wtw_inv))))))
+
+    def rows(self):
+        return export_rows_v(self.prob)
 
 
 def project_s(X) -> np.ndarray:
@@ -212,15 +253,6 @@ def project_s(X) -> np.ndarray:
     out[:n, :n] = 0.5 * (X[:n, :n] + X[:n, :n].T)
     out[n:, n:] = 0.5 * (X[n:, n:] + X[n:, n:].T)
     return out
-
-
-def _s_distance(X) -> float:
-    """||X - project_s(X)||_F: the off-diagonal blocks together with the
-    antisymmetric halves of the diagonal blocks."""
-    n = X.shape[0] // 2
-    off = X[:n, n:], X[n:, :n]
-    skew = 0.5 * (X[:n, :n] - X[:n, :n].T), 0.5 * (X[n:, n:] - X[n:, n:].T)
-    return float(np.sqrt(sum(float(np.vdot(b, b)) for b in off + skew)))
 
 
 def _constraint(prob: MmupProblem, X) -> np.ndarray:
@@ -244,13 +276,6 @@ def project_v(X, prob: MmupProblem) -> np.ndarray:
     out[:n] += step
     out[n:] += step
     return out
-
-
-def _v_distance(prob: MmupProblem, X) -> float:
-    """||X - project_v(X)||_F = ||Ihat Sigma W^T||_F
-    = sqrt(1/2 sum(R * (R (W^T W)^{-1})))."""
-    R = _constraint(prob, X)
-    return float(np.sqrt(max(0.0, 0.5 * float(np.sum(R * (R @ prob.wtw_inv))))))
 
 
 def pencil_residual(prob: MmupProblem, X) -> float:
@@ -290,16 +315,11 @@ def export_rows_v(prob: MmupProblem) -> Tuple[np.ndarray, np.ndarray]:
     """
     n, p = prob.n, prob.p
     m = 2 * n
-    W = prob.w
-    rows = np.zeros((n * p, m * m))
-    rhs = np.zeros(n * p)
-    for r in range(n):
-        for c in range(p):
-            row = rows[r * p + c].reshape(m, m)
-            row[r, :] += W[:, c]
-            row[n + r, :] += W[:, c]
-            rhs[r * p + c] = -prob.a[r, c]
-    return rows, rhs
+    C = np.zeros((n, p, m, m))      # row (r, c) viewed as a 2n x 2n matrix
+    r = np.arange(n)
+    C[r, :, r, :] = prob.w.T
+    C[r, :, n + r, :] = prob.w.T
+    return C.reshape(n * p, m * m), -prob.a.ravel()
 
 
 def extract_update(X) -> Tuple[np.ndarray, np.ndarray]:

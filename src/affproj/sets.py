@@ -2,15 +2,15 @@
 
 Every set is an AffineSet: a Hyperplane {x : <a, x> = b}, which is also
 what the accelerated solvers record, a row-constraint set {x : C x = d},
-or a custom set defined by a user-supplied exact projector.  A
-hyperplane's normal is never zero: a projection step that identifies no
-hyperplane records none.
+or any other subclass that implements an exact project() (mmup's S and V
+are two).  A hyperplane's normal is never zero: a projection step that
+identifies no hyperplane records none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +32,11 @@ class InfeasibleIntersectionError(RuntimeError):
 class AffineSet:
     """A closed affine subspace with an exact projection.
 
-    Subclasses implement project(); residual() is the distance
-    ||x - project(x)||.  Sets that can be written as {x : C x = d}
-    also implement rows(), returning the pair (C, d), for the direct
-    stacked-system oracle.
+    Subclasses set dim and implement project().  residual() is the
+    distance ||x - project(x)||; a subclass may override it with a closed
+    form that costs less than a projection.  Sets that can be written as
+    {x : C x = d} also implement rows(), returning the pair (C, d), for
+    the direct stacked-system oracle.
     """
 
     dim: int
@@ -187,34 +188,3 @@ class RowConstraintSet(AffineSet):
 
     def rows(self):
         return self.C, self.d
-
-
-class CustomSet(AffineSet):
-    """Affine set given by an exact projector callable.
-
-    residual_fn may override the default distance computation (it must
-    still return ||x - project(x)||, just computed more cheaply), and
-    rows_fn may supply a row-constraint export for the oracle.
-    """
-
-    def __init__(self, dim: int, projector: Callable[[np.ndarray], np.ndarray],
-                 residual_fn: Optional[Callable[[np.ndarray], float]] = None,
-                 rows_fn: Optional[Callable[[], tuple]] = None):
-        self.dim = int(dim)
-        self._projector = projector
-        self._residual_fn = residual_fn
-        self._rows_fn = rows_fn
-
-    def project(self, x):
-        return self._projector(as_point(x))
-
-    def residual(self, x) -> float:
-        if self._residual_fn is not None:
-            return float(self._residual_fn(as_point(x)))
-        return super().residual(x)
-
-    def rows(self):
-        if self._rows_fn is None:
-            return None
-        return self._rows_fn()
-

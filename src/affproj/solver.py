@@ -131,7 +131,7 @@ class HyperplaneBuffer:
         return A, self.offsets[:len(A)], rows, GramFactor.of(G)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoppingRule:
     """Stop when every set residual is <= stop_tol, or at the first
     iteration boundary with at least max_iter projection sub-steps.

@@ -252,6 +252,41 @@ def test_export_rows_v_counts_and_membership():
     assert norm(C @ member.reshape(-1) - d) <= 1e-10
 
 
+def _rows_v_by_loop(prob):
+    """V's rows built one entry (r, c) of the constraint at a time."""
+    n, p = prob.n, prob.p
+    m = 2 * n
+    rows, rhs = np.zeros((n * p, m * m)), np.zeros(n * p)
+    for r in range(n):
+        for c in range(p):
+            row = rows[r * p + c].reshape(m, m)
+            row[r, :] += prob.w[:, c]
+            row[n + r, :] += prob.w[:, c]
+            rhs[r * p + c] = -prob.a[r, c]
+    return rows, rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 20, 30])
+def test_export_rows_v_matches_the_rows_built_one_at_a_time(n):
+    prob = small_problem(18, n)
+    C, d = export_rows_v(prob)
+    loop_C, loop_d = _rows_v_by_loop(prob)
+    np.testing.assert_array_equal(C, loop_C)
+    np.testing.assert_array_equal(d, loop_d)
+
+
+def test_pencil_sets_check_each_point_for_non_finite_entries_once(monkeypatch):
+    prob = small_problem(19)
+    x = np.arange(prob.dim, dtype=float)
+    isfinite, scans = np.isfinite, []
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(np.size(a)) or isfinite(a))
+    for call in (prob.set_s.project, prob.set_v.project, prob.set_s.residual,
+                 prob.set_v.residual):
+        scans.clear()
+        call(x)
+        assert scans.count(prob.dim) == 1
+
+
 def test_problem_sets_export_same_rows():
     prob = small_problem(15)
     s_rows = prob.set_s.rows()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from affproj.linalg import inner, norm
 from affproj.oracle import direct_projection, stack
-from affproj.sets import (AffineSet, CustomSet, Hyperplane, InfeasibleIntersectionError,
+from affproj.sets import (AffineSet, Hyperplane, InfeasibleIntersectionError,
                           InfeasibleSetError, RowConstraintSet,
                           project_hyperplane_intersection)
 
@@ -156,7 +156,13 @@ def test_residual_matches_projection_distance():
 
 
 def test_custom_set_wraps_projector():
-    s = CustomSet(2, lambda x: np.array([x[0], 0.0]))
+    class XAxis(AffineSet):
+        dim = 2
+
+        def project(self, x):
+            return np.array([x[0], 0.0])
+
+    s = XAxis()
     np.testing.assert_allclose(s.project([3.0, 4.0]), [3.0, 0.0])
     assert s.residual([3.0, 4.0]) == pytest.approx(4.0)
     assert s.rows() is None
