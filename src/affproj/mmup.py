@@ -16,7 +16,9 @@ the whole computation stays real.
 prob.set_s and prob.set_v are AffineSets on the flattened variable
 (matrices are flattened row-major when treated as points).  Each has a
 closed-form projector, a closed-form residual and a row-constraint
-export, so all solvers and the direct oracle apply.
+export, so all solvers and the direct oracle apply.  Like the sets, the
+problem data (PencilData, TargetPair, TargetSpectrum, MmupProblem)
+compares and hashes by identity.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PencilData:
     """Coefficients of the quadratic pencil P(lam) = lam^2 M + lam D + K."""
 
@@ -66,7 +68,7 @@ class PencilData:
         return self.m.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetPair:
     """One prescribed eigenpair.
 
@@ -86,7 +88,7 @@ class TargetPair:
                 raise ValueError("real target has nonzero imaginary part")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpectrum:
     pairs: Tuple[TargetPair, ...]
 
@@ -121,7 +123,7 @@ def build_abc(M, targets: TargetSpectrum):
     return A, B, C
 
 
-@dataclass
+@dataclass(eq=False)
 class MmupProblem:
     """The assembled projection problem for one pencil and target set."""
 

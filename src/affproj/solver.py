@@ -142,7 +142,12 @@ class StoppingRule:
     three under run_alg2, whose starting lift counts as one more; so
     run_alg1 may make max_iter + 1 sub-steps and run_alg2 max_iter + 2.
     The residual to the next set in the fixed cyclic order is read off
-    that set's projection, which the next iteration reuses.
+    that set's projection, which the next iteration reuses.  The check
+    reads that residual first, then the other sets' in index order, and
+    stops at the first one above stop_tol, so an iterate it rejects on the
+    next set costs no residual call.  Every set's residual is also read
+    once at the starting point, so an inconsistent set, or one with a
+    non-finite residual there, is reported before anything is recorded.
     """
 
     stop_tol: float = 1e-10
@@ -221,16 +226,23 @@ def _first_step(sets, l, x):
     return p, d, norm(d)
 
 
+def _finite(j, r):
+    """r, the residual of set j; ValueError names the set when r is not finite."""
+    if not math.isfinite(r):
+        raise ValueError(f"set {j}: residual {r} is not finite")
+    return r
+
+
 def _check(sets, x, l, skip, stop_tol):
-    """(met, _first_step(sets, l, x)), with that step as x's residual to set l
-    and set skip (None: none) not checked; ValueError names a non-finite one."""
+    """(met, _first_step(sets, l, x)), with that step as x's residual to set l.
+
+    met is whether every residual checked is <= stop_tol.  The check stops
+    at the first one that is not: the step to set l, then the residuals of
+    the other sets in index order, set skip (None: none) left out."""
     ahead = _first_step(sets, l, x)
-    checked = [(l, ahead[2])] + [(j, s.residual(x)) for j, s in enumerate(sets)
-                                 if j not in (l, skip)]
-    for j, r in checked:
-        if not math.isfinite(r):
-            raise ValueError(f"set {j}: residual {r} is not finite")
-    return max(r for _, r in checked) <= stop_tol, ahead
+    met = _finite(l, ahead[2]) <= stop_tol and all(
+        _finite(j, s.residual(x)) <= stop_tol for j, s in enumerate(sets) if j not in (l, skip))
+    return met, ahead
 
 
 def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveResult:
@@ -249,12 +261,17 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
     An empty family raises ValueError.  policy is the window policy of an
     accelerated run.
 
-    Each main iterate is checked once, by _check, inside the iteration
-    that made it (one that raises InfeasibleSetError records nothing).
-    The check makes the next iteration's first projection and skips the
-    set a projection just put the iterate in, which counts as met.  A
-    corrected iterate stays in the lift set only in exact arithmetic, so
-    it is checked in full.  The last check's projection is dropped.
+    Before the lift and the loop, each set's residual is read once at the
+    start: InfeasibleSetError stops the run as infeasible with one warning,
+    and a non-finite residual raises ValueError.  Each main iterate is
+    then checked once, by _check, inside the iteration that made it (one
+    that raises InfeasibleSetError records nothing).  The check makes the
+    next iteration's first projection, skips the set a projection just put
+    the iterate in, which counts as met, and reads a residual only up to
+    the first one above stop_tol; so a residual that turns non-finite
+    later raises only once a check reaches it.  A corrected iterate stays
+    in the lift set only in exact arithmetic, so no set is skipped for
+    it.  The last check's projection is dropped.
 
     The path's points are copied for the trace before the correction is
     made, and the point on the hyperplane lives until the next one is
@@ -273,7 +290,13 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
     i = substeps = 0
     reason = "max-iter"
     x, ahead = start.copy(), None  # ahead: the next iteration's _first_step, from _check
-    if lift is not None:
+    try:
+        for j, s in enumerate(sets):
+            _finite(j, s.residual(start))
+    except InfeasibleSetError as e:
+        warnings.append(f"start point, set {j}: {e}")
+        reason = "infeasible"
+    if lift is not None and reason == "max-iter":
         substeps = 1
         try:
             lifted = lift.project(start)

@@ -333,6 +333,19 @@ def test_experiment1_shapes():
         np.testing.assert_array_equal(block, np.asarray(block).T)
 
 
+def test_problem_data_compare_and_hash_by_identity():
+    (prob, pencil), (twin_prob, twin) = experiment1(), experiment1()
+    pair, spectrum = prob.targets.pairs[0], prob.targets
+    objects = [prob, twin_prob, pencil, twin, pair, twin_prob.targets.pairs[0],
+               spectrum, twin_prob.targets]
+    for a in objects:
+        assert a == a and hash(a) == hash(a)
+    assert prob != twin_prob and pencil != twin
+    assert pair != twin_prob.targets.pairs[0] and spectrum != twin_prob.targets
+    seen = {a: i for i, a in enumerate(objects)}
+    assert [seen[a] for a in objects] == list(range(len(objects)))
+
+
 def test_experiment1_quadratic_eigenvalues_match_reference():
     _, pencil = experiment1()
     eigs = pencil_eigenvalues(pencil)

@@ -1,11 +1,13 @@
 from dataclasses import FrozenInstanceError
-from math import ceil
+from math import ceil, isfinite
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affproj import solver
 from affproj.cli import random_family as cli_random_family
 from affproj.diagnostics import count_fejer_violations, step_decompositions
 from affproj.linalg import TOL_FEAS, GramFactor, inner, lstsq_min_norm, norm
@@ -250,13 +252,11 @@ def test_degenerate_composite_step_is_skipped_with_note():
 
 @pytest.mark.parametrize("runner", [run_map, run_alg1, run_alg2])
 @pytest.mark.parametrize("m", [1, 2, 6])
-def test_one_residual_check_per_set_and_iteration(runner, m):
-    """The stop check of a main iterate reads the next scheduled set off the
-    next iteration's first projection and skips the set a projection just
-    put the iterate in: k - 2 residual calls per iteration under map, k - 1
-    under alg1 and alg2, and k - 2 for alg2's lifted start, which lies in
-    set 0.  The last check's projection is the one projection not in the
-    trace."""
+def test_zero_tolerance_reads_each_residual_once_at_the_start(runner, m):
+    """Under stop_tol = 0 every check stops at the next iteration's first
+    projection, which misses, so the only residual calls are the k of the
+    start check.  The last check's projection is the one projection not in
+    the trace."""
     calls, projections = [], []
 
     class CountingSet(RowConstraintSet):
@@ -271,11 +271,67 @@ def test_one_residual_check_per_set_and_iteration(runner, m):
     family, x0, _ = random_family(11)
     sets = [CountingSet(s.C, s.d) for s in family]
     r = runner(sets, x0, stop=StoppingRule(0.0, m))
-    k, i = len(sets), r.iterations
-    expected = {run_map: (k - 2) * i, run_alg1: (k - 1) * i, run_alg2: (k - 1) * i + k - 2}
-    assert len(calls) == expected[runner]
+    assert len(calls) == len(sets)
     recorded = [rec for rec in r.trace if rec.phase in ("set-projection", "m1-projection")]
     assert len(projections) == len(recorded) + 1
+
+
+def four_coordinate_hyperplanes(record):
+    """x_0 = 0, x_1 = 0, x_2 = 0 and x_0 + x_1 + x_2 = 0 in R^3, whose
+    residual calls append the set's index to record."""
+    class Logged(RowConstraintSet):
+        def __init__(self, row, index):
+            super().__init__([row], [0.0])
+            self.index = index
+
+        def residual(self, x):
+            record.append(self.index)
+            return super().residual(x)
+
+    return [Logged(row, j) for j, row in enumerate([*np.eye(3), np.ones(3)])]
+
+
+@pytest.mark.parametrize("runner,kwargs,reads", [
+    (run_map, {}, [2, 0, 1]),
+    (run_alg1, {"policy": LastQ(2)}, [0, 2, 0, 1, 2]),
+    (run_alg2, {"policy": LastQ(2)}, [2, 0, 1, 2]),
+], ids=["run_map", "run_alg1", "run_alg2"])
+def test_check_reads_sets_in_index_order_up_to_the_first_miss(runner, kwargs, reads):
+    """From (1, 0, 1) the first projection onto set 0 (alg2: its lift) gives
+    (0, 0, 1), whose check finds the step to set 1 met, then reads set 2,
+    which misses, and stops there: set 3 misses too, but no check after the
+    start ever reads it.  The run ends at the origin, where the last check
+    reads every set but its lookahead (and, under map, the set just
+    projected onto)."""
+    record = []
+    sets = four_coordinate_hyperplanes(record)
+    r = runner(sets, [1.0, 0.0, 1.0], **kwargs)
+    assert r.stop_reason == "residual-met"
+    np.testing.assert_array_equal(r.solution, np.zeros(3))
+    assert record == [0, 1, 2, 3] + reads
+
+
+@pytest.mark.parametrize("runner,kwargs", [
+    (run_map, {}),
+    (run_alg1, {"policy": LastQ(2)}),
+    (run_alg2, {"policy": LastQ(2)}),
+], ids=["run_map", "run_alg1", "run_alg2"])
+def test_residual_that_turns_non_finite_raises_once_the_check_reads_it(runner, kwargs):
+    """Set 2's residual is finite at the start and NaN after it.  Under
+    every driver, the first check after the start that reads set 2 (see the
+    test above) raises."""
+    record = []
+    sets = four_coordinate_hyperplanes(record)
+
+    class NanLater(type(sets[2])):
+        def residual(self, x):
+            r = super().residual(x)
+            return r if record.count(2) == 1 else float("nan")
+
+    sets[2] = NanLater(np.eye(3)[2], 2)
+    with pytest.raises(ValueError, match="set 2: residual nan"):
+        runner(sets, [1.0, 0.0, 1.0], **kwargs)
+    assert record.count(2) == 2
 
 
 @pytest.mark.parametrize("runner,kwargs", [
@@ -354,8 +410,8 @@ def test_alg1_reports_infeasible_set(index):
 
 @pytest.mark.parametrize("index", [0, 2, 3])
 def test_alg2_reports_infeasible_set(index):
-    # index 0 is the easy set, where the starting lift meets it; at 2 and 3
-    # it is a non-easy set that the scheme projects onto later
+    # index 0 is the easy set, which the starting lift projects onto; at 2
+    # and 3 it is a non-easy set; the start check meets each of them first
     sets, x0 = family_with_inconsistent_set(index)
     r = run_alg2(sets, x0, policy=LastQ(3))
     assert not r.converged
@@ -900,3 +956,34 @@ def test_stop_is_neither_early_nor_late(family):
             assert (again.stop_reason, again.iterations) == ("residual-met", r.iterations)
         else:
             assert worst[-1] > tol * (1 - 1e-6)
+
+
+def full_check(sets, x, l, skip, stop_tol):
+    """The stop check before it stopped at the first miss: every residual
+    but set skip's, checked for finiteness, then their maximum."""
+    ahead = solver._first_step(sets, l, x)
+    checked = [(l, ahead[2])] + [(j, s.residual(x)) for j, s in enumerate(sets)
+                                 if j not in (l, skip)]
+    for j, r in checked:
+        if not isfinite(r):
+            raise ValueError(f"set {j}: residual {r} is not finite")
+    return max(r for _, r in checked) <= stop_tol, ahead
+
+
+@settings(max_examples=25, deadline=None)
+@given(stop_test_families(), st.sampled_from([7, 3000]))
+def test_early_exit_check_matches_the_full_check(family, budget):
+    """Same solution bytes, iterations, stop reason and warnings as with
+    full_check, under a budget that ends most runs early and one that
+    lets them finish."""
+    sets, x0 = family
+    stop = StoppingRule(1e-8, budget)
+    for runner, kwargs in [(run_map, {}),
+                           (run_alg1, {"policy": LastQ(3)}), (run_alg1, {"policy": All()}),
+                           (run_alg2, {"policy": LastQ(3)}), (run_alg2, {"policy": All()})]:
+        r = runner(sets, x0, stop=stop, **kwargs)
+        with mock.patch.object(solver, "_check", full_check):
+            ref = runner(sets, x0, stop=stop, **kwargs)
+        assert r.solution.tobytes() == ref.solution.tobytes()
+        assert ((r.iterations, r.stop_reason, r.warnings)
+                == (ref.iterations, ref.stop_reason, ref.warnings))
