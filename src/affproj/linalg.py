@@ -73,21 +73,6 @@ def lstsq_min_norm(C, d) -> np.ndarray:
     return x
 
 
-def unit_row_gram(C):
-    """(G, s): the Gram matrix G = S C C^T S of the rows of C scaled to
-    unit length by S = diag(s), and s, with s_i = 1 / ||c_i||.
-
-    The scaling keeps short rows above the RCOND cutoff next to long
-    ones.  Zero rows keep the scale 1.
-    """
-    G = C @ C.T
-    lengths = np.sqrt(np.diag(G))
-    s = 1.0 / np.where(lengths > 0.0, lengths, 1.0)
-    G *= s[:, None]
-    G *= s
-    return G, s
-
-
 class GramFactor:
     """Cholesky factor of the Gram matrix G (G_jk = <a_j, a_k>) of k rows,
     with the rows that add no rank left out: L L^T = G[kept][:, kept].

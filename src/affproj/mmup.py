@@ -441,16 +441,19 @@ def load_problem_json(path) -> Tuple[MmupProblem, PencilData]:
     Expected shape: {"M": [[...]], "D": [[...]], "K": [[...]],
     "targets": [{"mu_re": f, "mu_im": f, "y_re": [...], "y_im": [...]}]}.
     Targets with nonzero imaginary data are treated as conjugate pairs.
+    A missing key raises ValueError naming it.
     """
     with open(path) as fh:
         data = json.load(fh)
-    pencil = PencilData(data["M"], data["D"], data["K"])
-    pairs = []
-    for t in data["targets"]:
-        mu = complex(t["mu_re"], t.get("mu_im", 0.0))
-        y_re = np.asarray(t["y_re"], dtype=float)
-        y_im = np.asarray(t.get("y_im", np.zeros_like(y_re)), dtype=float)
-        conj = mu.imag != 0.0 or np.any(y_im != 0.0)
-        pairs.append(TargetPair(mu, y_re + 1j * y_im, conjugate_pair=conj))
-    targets = TargetSpectrum(pairs)
-    return build_problem(pencil, targets), pencil
+    try:
+        pencil = PencilData(data["M"], data["D"], data["K"])
+        pairs = []
+        for t in data["targets"]:
+            mu = complex(t["mu_re"], t.get("mu_im", 0.0))
+            y_re = np.asarray(t["y_re"], dtype=float)
+            y_im = np.asarray(t.get("y_im", np.zeros_like(y_re)), dtype=float)
+            conj = mu.imag != 0.0 or np.any(y_im != 0.0)
+            pairs.append(TargetPair(mu, y_re + 1j * y_im, conjugate_pair=conj))
+    except KeyError as e:
+        raise ValueError(f"problem file {path} has no key {e.args[0]!r}") from None
+    return build_problem(pencil, TargetSpectrum(pairs)), pencil

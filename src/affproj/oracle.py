@@ -3,7 +3,8 @@
 Every set that can export a row-constraint form {x : C x = d} can be
 stacked into one big consistent system whose solution set is exactly
 the intersection; the projection of any point onto it then takes one
-Cholesky factor of the unit-row Gram matrix of C.  Forming and factoring
+Cholesky factor of the unit-row Gram matrix of C, the same factor a
+RowConstraintSet keeps (sets._unit_row_factor).  Forming and factoring
 that matrix is cubic in the total row count, and the oracle exists to
 validate the iterative solvers, so it is capped at a few thousand rows.
 """
@@ -14,8 +15,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import TOL_FEAS, GramFactor, as_point, gram_solve, norm, unit_row_gram
-from .sets import AffineSet, InfeasibleSetError
+from .linalg import as_point, gram_solve
+from .sets import AffineSet, _unit_row_factor
 
 MAX_ROWS = 5000
 
@@ -30,9 +31,12 @@ def stack(sets: Sequence[AffineSet]) -> Tuple[np.ndarray, np.ndarray]:
 
     The stacked solution set {x : C x = d} is exactly the intersection of
     the family.
-    Raises UnsupportedSetError for sets without an export and ValueError
+    Raises UnsupportedSetError for sets without an export, and ValueError
+    for an empty family, an export whose C and d disagree in length, and
     beyond the row cap.
     """
+    if not sets:
+        raise ValueError("the family has no sets")
     blocks = []
     rhs = []
     dim = None
@@ -43,6 +47,8 @@ def stack(sets: Sequence[AffineSet]) -> Tuple[np.ndarray, np.ndarray]:
         C, d = exported
         C = np.atleast_2d(np.asarray(C, dtype=float))
         d = np.asarray(d, dtype=float).reshape(-1)
+        if C.shape[0] != d.shape[0]:
+            raise ValueError(f"set {k} exports {C.shape[0]} rows but {d.shape[0]} offsets")
         if dim is None:
             dim = C.shape[1]
         elif C.shape[1] != dim:
@@ -62,20 +68,16 @@ def direct_projection(x0, rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
     With the rows scaled to unit length, S C x = S d for S = diag(s),
     solves (S C C^T S) lam = S (C x0 - d) with the GramFactor of that
-    matrix and returns x0 - C^T S lam; the correction lies in the row
-    space of C, which is the orthogonal complement of the solution set's
-    direction space.  A row whose unit direction lies within sqrt(RCOND)
-    of the span of the rows before it stays out of the factor (the rank
-    rule of GramFactor) and gets lam_j = 0.  Consistency is checked on
-    the whole scaled system, the rows left out included.
+    matrix (_unit_row_factor, which also checks consistency) and returns
+    x0 - C^T S lam, a correction in the row space of C.  A row whose unit
+    direction lies within sqrt(RCOND) of the span of the rows before it
+    stays out of the factor (the rank rule of GramFactor) and gets
+    lam_j = 0.  Raises InfeasibleSetError for an inconsistent system.
     """
     x0 = as_point(x0)
     C, d = rows
-    if C.shape[1] != x0.shape[0]:
-        raise ValueError(f"dimension mismatch: {C.shape[1]} columns vs point of dim {x0.shape[0]}")
-    G, s = unit_row_gram(C)
-    lam = gram_solve(GramFactor.of(G), s * (C @ x0 - d))
-    p = x0 - C.T @ (s * lam)
-    if norm(s * (C @ p - d)) > TOL_FEAS * max(1.0, norm(s * d)):
-        raise InfeasibleSetError("stacked constraint system is inconsistent")
-    return p
+    if C.shape[1] != x0.shape[0] or np.shape(d) != C.shape[:1]:
+        raise ValueError(f"dimension mismatch: C of shape {C.shape}, d of shape "
+                         f"{np.shape(d)}, point of dim {x0.shape[0]}")
+    s, factor = _unit_row_factor(C, d)
+    return x0 - C.T @ (s * gram_solve(factor, s * (C @ x0 - d)))

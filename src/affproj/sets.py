@@ -4,7 +4,9 @@ Every set is an AffineSet: a Hyperplane {x : <a, x> = b}, which is also
 what the accelerated solvers record, a row-constraint set {x : C x = d},
 or any other subclass that implements an exact project() (mmup's S and V
 are two).  A hyperplane's normal is never zero: a projection step that
-identifies no hyperplane records none.
+identifies no hyperplane records none.  A row-constraint set and the
+oracle factor {x : C x = d} alike (_unit_row_factor): one GramFactor of
+the unit-row Gram matrix, whose rank rule leaves dependent rows out.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .linalg import (RCOND, TOL_FEAS, GramFactor, as_matrix, as_point, gram_solve, norm,
-                     unit_row_gram)
+from .linalg import TOL_FEAS, GramFactor, as_matrix, as_point, gram_solve, norm
 # This module does not call lstsq_min_norm, but perfbench/spans.py wraps
 # affproj.sets.lstsq_min_norm for its per-layer split, so the name stays here.
 from .linalg import lstsq_min_norm  # noqa: F401
@@ -129,24 +131,37 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
     return _window_step(x, A, b, np.arange(len(A)), GramFactor.of(A @ A.T))[0]
 
 
+def _unit_row_factor(C: np.ndarray, d: np.ndarray):
+    """(s, factor): s_i = 1 / ||c_i|| scales the rows of C to unit length
+    (a zero row keeps 1), and factor is the GramFactor of S C C^T S,
+    S = diag(s).  Raises InfeasibleSetError when the least-norm point
+    C^T S lam, lam = factor.solve(S d), misses S C x = S d, the rows left
+    out of the factor included, by more than TOL_FEAS * max(1, ||S d||);
+    that miss is ||G lam - S d||, G = S C C^T S, so no product with C.
+    """
+    G = C @ C.T
+    lengths = np.sqrt(np.diag(G))
+    s = 1.0 / np.where(lengths > 0.0, lengths, 1.0)
+    G *= s[:, None]
+    G *= s
+    factor = GramFactor.of(G)
+    sd = s * d
+    if norm(G @ factor.solve(sd) - sd) > TOL_FEAS * max(1.0, norm(sd)):
+        raise InfeasibleSetError("row system C x = d is inconsistent")
+    return s, factor
+
+
 class RowConstraintSet(AffineSet):
     """{x : C x = d}.
 
-    The first projection or residual scales the rows of C to unit
-    length, C' = S C with S = diag(s) (see unit_row_gram), factors
-    G' = C' C'^T as Q diag(w) Q^T over the eigenvalues above the RCOND
-    cutoff (the rank rule of lstsq_min_norm), and keeps
-    B = S Q diag(w)^(-1/2), so that C^T B B^T = C'^T G'+ S.  Each later
-    call costs a few mat-vecs: with r = C x - d, P(x) = x - C^T B B^T r
-    and the distance is ||B^T r||.
-    Applying B twice keeps the projection within the roundoff of a fresh
-    least-squares solve; an explicit G+ loses up to two more digits on
-    nearly square C.  C and d are not copied and must not be mutated
-    after the first call.
-
-    Consistency is checked once, with the factor, on the scaled system:
-    C x = d is solvable exactly when S d lies in range(G'), and every
-    call raises InfeasibleSetError when it does not.
+    The first projection or residual factors the system as the oracle
+    does (_unit_row_factor, under GramFactor's rank rule), L L^T on the
+    kept rows, and keeps B = S L^-T there (one triangular inverse,
+    dtrtri) with zero rows for the rows left out.  Each later call costs
+    a few mat-vecs: with r = C x - d, P(x) = x - C^T B B^T r and the
+    distance is ||B^T r||.  C and d are not copied and must not be
+    mutated after the first call.  When the system is inconsistent,
+    every call raises InfeasibleSetError.
     """
 
     def __init__(self, C, d):
@@ -158,26 +173,20 @@ class RowConstraintSet(AffineSet):
         self.dim = self.C.shape[1]
         self._half_pinv = None
 
-    def _factor(self) -> np.ndarray:
-        if self._half_pinv is None:
-            G, s = unit_row_gram(self.C)
-            w, Q = np.linalg.eigh(G)
-            keep = w > RCOND * w.max(initial=0.0)
-            Q = Q[:, keep]
-            d = s * self.d
-            if norm(d - Q @ (Q.T @ d)) > TOL_FEAS * max(1.0, norm(d)):
-                raise InfeasibleSetError("row system C x = d is inconsistent")
-            self._half_pinv = s[:, None] * Q / np.sqrt(w[keep])
-        return self._half_pinv
-
     def _scaled_gap(self, x):
         """(x, B^T (C x - d)) with x checked against the dimension."""
-        B = self._factor()
+        if self._half_pinv is None:
+            s, factor = _unit_row_factor(self.C, self.d)
+            r, kept = factor.rank, factor.kept[:factor.rank]
+            B = np.zeros((self.C.shape[0], r))
+            if r:  # dtrtri rejects an empty matrix
+                B[kept] = s[kept, None] * lapack.dtrtri(factor.L[:r, :r], lower=1)[0].T
+            self._half_pinv = B
         x = as_point(x)
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} columns vs point of dim "
                              f"{x.shape[0]}")
-        return x, B.T @ (self.C @ x - self.d)
+        return x, self._half_pinv.T @ (self.C @ x - self.d)
 
     def project(self, x):
         x, y = self._scaled_gap(x)

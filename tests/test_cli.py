@@ -93,15 +93,19 @@ def test_bench_requires_experiment(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bench_reads_a_problem_file(tmp_path):
-    """Experiment 1 written as JSON benches like --experiment 1."""
+def _experiment1_doc():
+    """Experiment 1 in the JSON form load_problem_json reads."""
     prob, pencil = mmup.experiment1()
     (pair,) = prob.targets.pairs
-    doc = {"M": pencil.m.tolist(), "D": pencil.d.tolist(), "K": pencil.k.tolist(),
-           "targets": [{"mu_re": pair.mu.real, "mu_im": pair.mu.imag,
-                        "y_re": pair.y.real.tolist(), "y_im": pair.y.imag.tolist()}]}
+    return {"M": pencil.m.tolist(), "D": pencil.d.tolist(), "K": pencil.k.tolist(),
+            "targets": [{"mu_re": pair.mu.real, "mu_im": pair.mu.imag,
+                         "y_re": pair.y.real.tolist(), "y_im": pair.y.imag.tolist()}]}
+
+
+def test_bench_reads_a_problem_file(tmp_path):
+    """Experiment 1 written as JSON benches like --experiment 1."""
     path = tmp_path / "exp1.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_experiment1_doc()))
     outs = []
     for source in (["--experiment", "1"], ["--problem", str(path)]):
         out = tmp_path / f"bench{len(outs)}.csv"
@@ -181,3 +185,13 @@ def test_out_of_range_values_are_reported_errors(argv, capsys):
 
 def test_missing_problem_file():
     assert main(["run", "--problem", "/nonexistent/prob.json"]) == 2
+
+
+@pytest.mark.parametrize("key", ["K", "y_re"])
+def test_problem_file_without_a_key_is_a_reported_error(tmp_path, capsys, key):
+    doc = _experiment1_doc()
+    (doc if key == "K" else doc["targets"][0]).pop(key)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--problem", str(path)]) == 2
+    assert f"error: problem file {path} has no key '{key}'" in capsys.readouterr().err

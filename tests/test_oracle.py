@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affproj.linalg import inner, lstsq_min_norm, norm, unit_row_gram
+from affproj.linalg import inner, lstsq_min_norm, norm
 from affproj.mmup import (PencilData, TargetPair, TargetSpectrum, build_problem, experiment1,
                           experiment2)
 from affproj.oracle import MAX_ROWS, UnsupportedSetError, direct_projection, stack
@@ -109,7 +109,8 @@ def test_iterative_and_direct_projections_agree():
 def _min_norm_reference(x0, C, d):
     """The projection by a min-norm least-squares solve of the same
     unit-row Gram system direct_projection factors."""
-    G, s = unit_row_gram(C)
+    s = 1.0 / np.linalg.norm(C, axis=1)
+    G = (s[:, None] * C) @ (s[:, None] * C).T
     return x0 - C.T @ (s * lstsq_min_norm(G, s * (C @ x0 - d)))
 
 
@@ -178,14 +179,19 @@ def test_inconsistent_stacks_raise(make):
         direct_projection(x0, (C, d))
 
 
-def _near_parallel_miss(project, gap, seed):
-    """Relative distance from the exact projection, np.linalg.lstsq on C,
-    of project(C, d, x0) on a consistent family of 10 Gaussian rows in
-    dim 30 and an 11th row `gap` times the length of row 0 away from it."""
+def _near_parallel(gap, seed):
+    """(C, d, x0): a consistent family of 10 Gaussian rows in dim 30 and an
+    11th row `gap` times the length of row 0 away from it."""
     rng = np.random.default_rng([seed, 7])
     C = rng.standard_normal((10, 30))
     u = rng.standard_normal(30)
-    C, d, x0 = _consistent(np.vstack([C, C[0] + gap * norm(C[0]) * u / norm(u)]), seed)
+    return _consistent(np.vstack([C, C[0] + gap * norm(C[0]) * u / norm(u)]), seed)
+
+
+def _near_parallel_miss(project, gap, seed):
+    """Relative distance from the exact projection, np.linalg.lstsq on C,
+    of project(C, d, x0) on the near-parallel family of (gap, seed)."""
+    C, d, x0 = _near_parallel(gap, seed)
     exact = x0 - np.linalg.lstsq(C, C @ x0 - d, rcond=None)[0]
     return norm(project(C, d, x0) - exact) / max(1.0, norm(x0))
 
@@ -196,22 +202,74 @@ _PROJECTORS = {
 }
 
 # Both projectors square the conditioning through the unit-row Gram matrix.
+# At 1e-9 to 1e-6 the rank rule drops a unit row within 1e-6 of the span of
+# the rows before it, and then the feasibility check decides.
+_MISSED = pytest.mark.xfail(strict=True, raises=AssertionError,
+                            reason="the dropped row passes the feasibility check, and the "
+                            "point returned is 0.31 from the exact projection")
+_RAISED = pytest.mark.xfail(strict=True, raises=InfeasibleSetError,
+                            reason="the feasibility check sees the dropped row missed by more "
+                            "than 1e-8")
 _NEAR_PARALLEL_FAILS = {
-    1e-6: pytest.mark.xfail(strict=True, raises=InfeasibleSetError,
-                            reason="the rank rule drops a unit row within 1e-6 of the span "
-                            "of the rows before it, and the feasibility check then sees it "
-                            "missed by more than 1e-8"),
-    1e-8: pytest.mark.xfail(strict=True, raises=AssertionError,
-                            reason="the rank rule drops a unit row within 1e-8 of the span "
-                            "of the rows before it, the feasibility check passes, and the "
-                            "point returned is 0.31 from the exact projection"),
+    1e-9: _MISSED, 1e-8: _MISSED, 1e-7: _RAISED, 1e-6: _RAISED,
+    1e-5: pytest.mark.xfail(strict=True, raises=AssertionError,
+                            reason="the row is kept, but the Gram solve squares cond(C): "
+                            "seed 2 misses by 5.1e-7"),
 }
 
 
 @pytest.mark.parametrize("name,gap", [
     pytest.param(name, gap, id=f"{name}-{gap:g}", marks=_NEAR_PARALLEL_FAILS.get(gap, ()))
-    for name in _PROJECTORS for gap in (1e-8, 1e-6, 1e-4)])
+    for name in _PROJECTORS for gap in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)])
 def test_near_parallel_rows_project_like_lstsq_on_c(name, gap):
-    # seed 0 decides the outcome of the failing ids
+    # the first failing seed decides the outcome of the failing ids
     for seed in range(20):
         assert _near_parallel_miss(_PROJECTORS[name], gap, seed) <= 5e-7
+
+
+def _project_or_none(project, C, d, x0):
+    try:
+        return project(C, d, x0)
+    except InfeasibleSetError:
+        return None
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-8, 1e-7, 1e-6, 1.5e-6, 2e-6, 3e-6, 1e-5, 1e-4])
+def test_row_set_raises_and_projects_like_the_oracle(gap):
+    """RowConstraintSet and direct_projection factor a unit-row system the
+    same way: one raises InfeasibleSetError exactly when the other does,
+    and otherwise their points agree to roundoff, right or wrong."""
+    for seed in range(20):
+        C, d, x0 = _near_parallel(gap, seed)
+        p = _project_or_none(_PROJECTORS["direct_projection"], C, d, x0)
+        q = _project_or_none(_PROJECTORS["RowConstraintSet"], C, d, x0)
+        assert (p is None) == (q is None), f"seed {seed}"
+        if p is not None:
+            assert norm(p - q) <= 1e-9 * max(1.0, norm(x0)), f"seed {seed}"
+
+
+def test_direct_projection_rejects_offsets_of_another_length():
+    C = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        direct_projection([3.0, 4.0], (C, np.array([1.0])))
+
+
+def test_stack_names_the_set_whose_export_disagrees_with_itself():
+    class Misfit(AffineSet):
+        """A set whose rows() gives C and d of different lengths."""
+        dim = 4
+
+        def __init__(self, m, n):
+            self.C, self.d = np.eye(4)[:m], np.ones(n)
+
+        def rows(self):
+            return self.C, self.d
+
+    for sets, k in (([Misfit(3, 2), Misfit(2, 3)], 0), ([Misfit(2, 2), Misfit(2, 3)], 1)):
+        with pytest.raises(ValueError, match=f"set {k} exports"):
+            stack(sets)
+
+
+def test_stack_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="the family has no sets"):
+        stack([])

@@ -388,10 +388,15 @@ def test_non_finite_residual_raises_at_every_position(runner, index):
         runner(sets, x0, stop=StoppingRule(1e-10, 300))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="x - p loses its direction to cancellation, so a recorded normal "
-                   "of length about 1e-12 gives a hyperplane that misses the intersection")
-@pytest.mark.parametrize("seed,q", [(21, 3), (21, 5), (27, 3)])
+_ALG1_CANCELLATION = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="x - p loses its direction to cancellation, so a recorded normal of length about "
+    "1e-12 gives a hyperplane that misses the intersection")
+
+
+# seed 27 passes by roundoff alone: it misses by 7.8e-7, under the bound but 78 times stop_tol
+@pytest.mark.parametrize("seed,q", [pytest.param(21, 3, marks=_ALG1_CANCELLATION),
+                                    pytest.param(21, 5, marks=_ALG1_CANCELLATION), (27, 3)])
 def test_alg1_last_q_lands_on_the_direct_projection(seed, q):
     sets, x0, _ = cli_random_family(10, 3, [1, 3, 3], seed)
     r = run_alg1(sets, x0, policy=LastQ(q), stop=StoppingRule(1e-8, 3000))
@@ -810,6 +815,8 @@ def test_all_window_grows_its_factor_by_one_row_without_refactoring(monkeypatch,
         d = [float(j)] if parallel and j < 2 else C @ z
         sets.append(RowConstraintSet(C, d))
     x0 = rng.standard_normal(4)
+    for s in sets:  # each set factors its own rows on its first call
+        s.residual(x0)
     rows, ranks, refactors = [], [], []
     append, of = GramFactor.append, GramFactor.of.__func__
 
