@@ -3,10 +3,21 @@
 Vectors ("points") are 1-d float64 numpy arrays; matrices are 2-d float64
 arrays.  Matrices treated as points of the ambient space are flattened
 row-major, so the flattened dot product is the Frobenius inner product.
+
+Every point and matrix a set or solver takes is checked for NaN and
+infinite entries (as_point, as_matrix) on every call, at the cost of one
+BLAS dot product: v.v is finite only if every entry of v is, since it is a
+sum of non-negative squares, so no inf - inf can cancel and a NaN carries
+through.  Only when v.v is not finite does a full scan decide, for finite
+entries whose squares overflow (about 1.3e154 and up; numpy then also
+warns of the overflow).  norm and inner call ndarray.dot directly, the
+BLAS call that np.linalg.norm and np.dot make, without their Python-level
+wrappers.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,24 +36,31 @@ TOL_FEAS = 1e-8
 RCOND = 1e-12
 
 
-def as_point(x) -> np.ndarray:
-    """Coerce to a finite 1-d float64 vector."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("point contains non-finite entries")
+def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
+    """v, or ValueError naming what when an entry of v is NaN or infinite:
+    one dot product, and a full scan only when that dot is not finite."""
+    flat = v.ravel(order="K")
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+        raise ValueError(f"{what} contains non-finite entries")
     return v
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d float64 matrix."""
+def as_point(x) -> np.ndarray:
+    """Coerce to a 1-d float64 vector, checked finite by one dot product
+    (see the module docstring)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        v = v.reshape(-1)
+    return _check_finite(v, "point")
+
+
+def as_matrix(a, what: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-d float64 matrix, checked finite like as_point; the
+    ValueError for a non-finite entry names the matrix as what."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
+    return _check_finite(m, what)
 
 
 def inner(x, y) -> float:
@@ -51,11 +69,14 @@ def inner(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x.ravel(), y.ravel()))
+    return float(x.ravel().dot(y.ravel()))
 
 
 def norm(x) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Euclidean (Frobenius) norm: sqrt(v.v) of the entries, bit for bit
+    what np.linalg.norm computes for its default order."""
+    v = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def lstsq_min_norm(C, d) -> np.ndarray:

@@ -48,16 +48,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PencilData:
-    """Coefficients of the quadratic pencil P(lam) = lam^2 M + lam D + K."""
+    """Coefficients of the quadratic pencil P(lam) = lam^2 M + lam D + K.
+    A NaN or infinite entry raises ValueError naming the matrix."""
 
     m: np.ndarray
     d: np.ndarray
     k: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", as_matrix(self.m))
-        object.__setattr__(self, "d", as_matrix(self.d))
-        object.__setattr__(self, "k", as_matrix(self.k))
+        for name in ("m", "d", "k"):
+            object.__setattr__(self, name, as_matrix(getattr(self, name), f"pencil matrix {name}"))
         n = self.m.shape[0]
         for name, a in (("m", self.m), ("d", self.d), ("k", self.k)):
             if a.shape != (n, n):
@@ -74,6 +74,7 @@ class TargetPair:
 
     A conjugate pair (mu, y) and (conj(mu), conj(y)) is stored once
     with conjugate_pair set; real targets carry zero imaginary parts.
+    A NaN or infinite mu or entry of y raises ValueError naming it.
     """
 
     mu: complex
@@ -83,6 +84,9 @@ class TargetPair:
     def __post_init__(self):
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=complex).reshape(-1))
+        for name, v in (("eigenvalue mu", self.mu), ("eigenvector y", self.y)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"target {name} is not finite")
         if not self.conjugate_pair:
             if self.mu.imag != 0.0 or np.any(self.y.imag != 0.0):
                 raise ValueError("real target has nonzero imaginary part")
@@ -441,7 +445,9 @@ def load_problem_json(path) -> Tuple[MmupProblem, PencilData]:
     Expected shape: {"M": [[...]], "D": [[...]], "K": [[...]],
     "targets": [{"mu_re": f, "mu_im": f, "y_re": [...], "y_im": [...]}]}.
     Targets with nonzero imaginary data are treated as conjugate pairs.
-    A missing key raises ValueError naming it.
+    A missing key raises ValueError naming it, and so does a NaN or
+    infinite entry (JSON's NaN and Infinity are read): the matrix m, d or
+    k, or a target's mu or y.
     """
     with open(path) as fh:
         data = json.load(fh)

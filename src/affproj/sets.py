@@ -11,6 +11,7 @@ the unit-row Gram matrix, whose rank rule leaves dependent rows out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,11 +66,11 @@ class Hyperplane(AffineSet):
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", as_point(self.normal))
+        object.__setattr__(self, "normal", a := as_point(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
-        if not np.isfinite(self.offset):
+        if not math.isfinite(self.offset):
             raise ValueError("offset is not finite")
-        if not np.any(self.normal):
+        if not a.dot(a) and not a.any():  # a.a underflows to 0 for a 1e-200 normal
             raise ValueError("the normal of a hyperplane must not be zero")
 
     @property
@@ -104,7 +105,7 @@ def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: Gram
     lam = gram_solve(factor, (b - A @ x)[rows])
     weights = np.zeros(A.shape[0])
     weights[rows] = lam
-    p = A.T @ weights
+    p = weights @ A
     p += x
     worst = np.abs((b - A @ p)[rows]).max()
     if worst > TOL_FEAS * max(1.0, np.abs(b[rows]).max()):
@@ -134,10 +135,13 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
 def _unit_row_factor(C: np.ndarray, d: np.ndarray):
     """(s, factor): s_i = 1 / ||c_i|| scales the rows of C to unit length
     (a zero row keeps 1), and factor is the GramFactor of S C C^T S,
-    S = diag(s).  Raises InfeasibleSetError when the least-norm point
-    C^T S lam, lam = factor.solve(S d), misses S C x = S d, the rows left
-    out of the factor included, by more than TOL_FEAS * max(1, ||S d||);
-    that miss is ||G lam - S d||, G = S C C^T S, so no product with C.
+    S = diag(s).  When the factor leaves a row out, raises
+    InfeasibleSetError if the least-norm point C^T S lam,
+    lam = factor.solve(S d), misses S C x = S d, the rows left out
+    included, by more than TOL_FEAS * max(1, ||S d||); that miss is
+    ||G lam - S d||, G = S C C^T S, so no product with C.  When the factor
+    keeps every row, C has full row rank and C x = d has a solution for
+    every d, so there is nothing to check and no solve is made.
     """
     G = C @ C.T
     lengths = np.sqrt(np.diag(G))
@@ -146,7 +150,8 @@ def _unit_row_factor(C: np.ndarray, d: np.ndarray):
     G *= s
     factor = GramFactor.of(G)
     sd = s * d
-    if norm(G @ factor.solve(sd) - sd) > TOL_FEAS * max(1.0, norm(sd)):
+    if factor.rank < factor.size and (
+            norm(G @ factor.solve(sd) - sd) > TOL_FEAS * max(1.0, norm(sd))):
         raise InfeasibleSetError("row system C x = d is inconsistent")
     return s, factor
 

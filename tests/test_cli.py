@@ -195,3 +195,25 @@ def test_problem_file_without_a_key_is_a_reported_error(tmp_path, capsys, key):
     path.write_text(json.dumps(doc))
     assert main(["run", "--problem", str(path)]) == 2
     assert f"error: problem file {path} has no key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,value,named", [
+    ("K", np.nan, "pencil matrix k"), ("M", np.inf, "pencil matrix m"),
+    ("y_re", np.nan, "target eigenvector y"), ("mu_re", np.inf, "target eigenvalue mu"),
+    ("mu_im", -np.inf, "target eigenvalue mu"),
+])
+def test_problem_file_with_non_finite_data_is_a_reported_error(tmp_path, capsys, where, value,
+                                                               named):
+    doc = _experiment1_doc()
+    if where in ("K", "M"):
+        doc[where][0][0] = value
+    elif where == "y_re":
+        doc["targets"][0][where][1] = value
+    else:
+        doc["targets"][0][where] = value
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, as JSON readers accept them
+    assert main(["run", "--problem", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err
+    assert "SVD" not in err

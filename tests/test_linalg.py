@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affproj.linalg import (GramFactor, SpanBasis, as_point, gram_solve, inner,
+from affproj.linalg import (GramFactor, SpanBasis, as_matrix, as_point, gram_solve, inner,
                             lstsq_min_norm, norm)
 
 
@@ -36,6 +36,63 @@ def test_as_point_rejects_non_finite():
         as_point([1.0, np.nan])
     with pytest.raises(ValueError):
         as_point([np.inf, 0.0])
+
+
+def _scan_is_finite(v):
+    """The full scan the one-dot check replaces."""
+    return bool(np.all(np.isfinite(v)))
+
+
+@pytest.mark.parametrize("check", [as_point, lambda v: as_matrix(v.reshape(3, 3)),
+                                   lambda v: as_matrix(v.reshape(3, 3).T)],
+                         ids=["as_point", "as_matrix", "as_matrix-transposed"])
+@pytest.mark.parametrize("position", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_one_non_finite_entry_anywhere_raises(check, position, bad):
+    v = np.arange(1.0, 10.0)
+    v[position] = bad
+    assert not _scan_is_finite(v)
+    with pytest.raises(ValueError, match="non-finite"):
+        check(v)
+
+
+# a square of 1e200 overflows, so numpy warns before the scan decides
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("entries", [[1e200, -1e200, 3.0], [-1e200], [1e-200, -1e-200, 0.0],
+                                     np.full(400, 1e153), []],
+                         ids=["1e200", "-1e200", "1e-200", "1e153-sum-overflows", "empty"])
+def test_finite_entries_are_accepted_whatever_their_size(entries):
+    v = np.array(entries, dtype=float)
+    assert _scan_is_finite(v)
+    assert as_point(v) is v
+    for m in (v.reshape(1, -1), v.reshape(-1, 1)):
+        assert as_matrix(m) is m
+
+
+def test_as_matrix_accepts_a_transposed_view_as_it_is():
+    t = np.arange(12.0).reshape(3, 4).T
+    assert not t.flags.c_contiguous
+    assert as_matrix(t) is t
+
+
+def test_as_matrix_names_the_matrix_it_rejects():
+    with pytest.raises(ValueError, match="pencil matrix k contains non-finite entries"):
+        as_matrix([[np.nan]], "pencil matrix k")
+
+
+def _layouts():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 5))
+    b = rng.standard_normal((7, 5))
+    return [("1-d", a[0], b[0]), ("2-d", a, b), ("transposed", a.T, b.T),
+            ("strided", a[::2, 1::2], b[::2, 1::2]),
+            ("strided-1-d", a.ravel()[::3], b.ravel()[::3])]
+
+
+@pytest.mark.parametrize("name,x,y", _layouts(), ids=[t[0] for t in _layouts()])
+def test_norm_and_inner_are_bit_identical_to_numpy(name, x, y):
+    assert norm(x) == np.linalg.norm(x)
+    assert inner(x, y) == np.dot(x.ravel(), y.ravel())
 
 
 def test_lstsq_identity_system():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from affproj import linalg
 from affproj.linalg import norm
 from affproj.mmup import (PencilData, TargetPair, TargetSpectrum,
                           build_abc, build_problem, experiment1, experiment2,
@@ -278,8 +279,9 @@ def test_export_rows_v_matches_the_rows_built_one_at_a_time(n):
 def test_pencil_sets_check_each_point_for_non_finite_entries_once(monkeypatch):
     prob = small_problem(19)
     x = np.arange(prob.dim, dtype=float)
-    isfinite, scans = np.isfinite, []
-    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(np.size(a)) or isfinite(a))
+    check, scans = linalg._check_finite, []
+    monkeypatch.setattr(linalg, "_check_finite",
+                        lambda v, what: scans.append(np.size(v)) or check(v, what))
     for call in (prob.set_s.project, prob.set_v.project, prob.set_s.residual,
                  prob.set_v.residual):
         scans.clear()

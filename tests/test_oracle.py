@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affproj.linalg import inner, lstsq_min_norm, norm
+from affproj.linalg import GramFactor, inner, lstsq_min_norm, norm
 from affproj.mmup import (PencilData, TargetPair, TargetSpectrum, build_problem, experiment1,
                           experiment2)
 from affproj.oracle import MAX_ROWS, UnsupportedSetError, direct_projection, stack
@@ -273,3 +273,35 @@ def test_stack_names_the_set_whose_export_disagrees_with_itself():
 def test_stack_rejects_an_empty_family():
     with pytest.raises(ValueError, match="the family has no sets"):
         stack([])
+
+
+def test_a_full_rank_stack_makes_no_consistency_solve(monkeypatch):
+    """A system of full row rank is consistent, so the factor that keeps
+    every row is not solved to check it: a set's first projection makes no
+    solve, and the oracle makes only its own."""
+    solve, calls = GramFactor.solve, []
+    monkeypatch.setattr(GramFactor, "solve", lambda f, rhs: calls.append(f.size) or solve(f, rhs))
+    rng = np.random.default_rng(11)
+    C = rng.standard_normal((40, 100))
+    d = C @ rng.standard_normal(100)
+    x0 = rng.standard_normal(100)
+    p = RowConstraintSet(C, d).project(x0)
+    assert calls == []
+    q = direct_projection(x0, (C, d))
+    assert calls == [40]
+    assert norm(p - q) <= 1e-12 * norm(x0)
+
+
+@pytest.mark.parametrize("dependent", ["duplicate", "combination"])
+def test_an_inconsistent_stack_with_a_dependent_row_raises_from_set_and_oracle(dependent):
+    rng = np.random.default_rng(12)
+    C = rng.standard_normal((6, 20))
+    d = C @ rng.standard_normal(20)
+    mix = np.eye(6)[2] if dependent == "duplicate" else rng.standard_normal(6)
+    C, d = np.vstack([C, mix @ C]), np.append(d, mix @ d + 1e-3)
+    x0 = rng.standard_normal(20)
+    with pytest.raises(InfeasibleSetError):
+        direct_projection(x0, (C, d))
+    for call in (RowConstraintSet(C, d).project, RowConstraintSet(C, d).residual):
+        with pytest.raises(InfeasibleSetError):
+            call(x0)

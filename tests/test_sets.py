@@ -32,6 +32,18 @@ def test_zero_normal_with_offset_is_rejected():
         Hyperplane([0.0, 0.0], 1.0)
 
 
+def test_a_tiny_normal_is_not_zero():
+    """Its squared length underflows to 0, so any() decides."""
+    h = Hyperplane(np.full(3, 1e-200), 0.0)
+    assert np.all(h.normal == 1e-200)
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_offset_raises(offset):
+    with pytest.raises(ValueError, match="offset"):
+        Hyperplane([1.0, 0.0], offset)
+
+
 def test_hyperplane_dimension_mismatch():
     with pytest.raises(ValueError):
         Hyperplane([1.0, 0.0], 0.0).project([1.0, 2.0, 3.0])
