@@ -100,25 +100,25 @@ class GramFactor:
 
     Rank rule: the rows are taken in order, and a row stays out when its
     pivot, the squared distance of a_j from the span of the kept rows
-    before it, is <= RCOND times the largest diagonal entry of G up to it.
-    This mirrors the RCOND * sigma_max cut of lstsq_min_norm on the same
-    unscaled G, except that a later, longer row never drops an earlier one:
-    so the factor only grows, and an earlier row whose direction is exact
-    is not cut for being short next to a row 1e6 times longer.  A row left
-    out gets lambda_j = 0 in solve, so sum_j lambda_j a_j projects onto the
-    hyperplanes of the kept rows; for a consistent family the others hold
-    up to the cut.
+    before it, is <= RCOND times a_j's own squared length.  The rule is
+    scale-free: a row is judged by the angle it makes with that span, not
+    by its length next to other rows, so a later, longer row never drops an
+    earlier one, and a short row whose direction is new stays in.  A row
+    left out gets lambda_j = 0 in solve, so sum_j lambda_j a_j projects onto
+    the hyperplanes of the kept rows; for a consistent family the others
+    hold up to the cut.  On the unit rows of _unit_row_factor it is also a
+    cut relative to the longest row.
 
-    The rule is deliberately not scale-free.  Late window normals of a
-    converging run are about 1e-10 of the early ones, and their directions
-    are mostly roundoff.  A rule on unit-length rows, or on a pivot relative
-    to the row's own squared length, keeps them.  In a probe of the latter,
-    window-workload alg1 took 601 iterations instead of 968 (seed 97), but
-    test_solvers_match_direct_projection landed 0.44 from the direct
-    projection and test_invariant_suite saw a Fejér margin of 0.031.  At
-    the last correction of window-workload alg1 (seed 97, instance 0), the
-    min-norm solve this replaced kept 52 of 133 rows; this factor keeps 52
-    of 132.
+    The late normals of a converging window run are about 1e-10 as long as
+    the early ones.  A rule relative to the longest row so far cut every
+    one of them: window-workload alg1 All() kept 357 of 944 rows (seed 97)
+    and took 1 976 iterations on a small-angle family whose total
+    codimension is 80.  Under this rule all 14 seed-97 window solves keep
+    every row; alg1 takes 601 iterations there and 80 on that family.  An
+    earlier probe of this rule landed 0.44 from the direct projection and
+    saw a Fejér margin of 0.031, from normals whose direction was lost to
+    cancellation in x - p; alg1 now records no hyperplane for such a
+    roundoff step (ROUNDOFF_STEP), and those failures do not recur.
 
     GramFactor() starts an empty factor that append grows by one row with
     one triangular solve: O(rank^2) per row, never a refactor.
@@ -132,20 +132,17 @@ class GramFactor:
         self.kept = np.zeros(8, dtype=np.intp)
         self.rank = 0
         self.size = 0
-        self.top = 0.0  # largest diagonal entry of G
 
     @classmethod
     def of(cls, G) -> "GramFactor":
         f = cls()
         k = G.shape[0]
         if k:
-            tops = np.maximum.accumulate(G.diagonal())
             L, info = lapack.dpotrf(G, lower=1, clean=1)
             done = info - 1 if info else k  # leading columns dpotrf completed
-            passed = L.diagonal()[:done] ** 2 > RCOND * tops[:done]
+            passed = L.diagonal()[:done] ** 2 > RCOND * G.diagonal()[:done]
             j = done if passed.all() else int(np.argmin(passed))
             f.L, f.kept, f.rank, f.size = L, np.arange(k), j, j
-            f.top = float(tops[j - 1]) if j else 0.0
         for i in range(f.size, k):
             f.append(G[i, :i + 1])
         return f
@@ -157,10 +154,9 @@ class GramFactor:
             raise ValueError(f"{g.shape[0]} Gram entries for row {self.size}")
         k, r = self.size, self.rank
         self.size += 1
-        self.top = max(self.top, float(g[-1]))
         row = lapack.dtrtrs(self.L[:r, :r], g[self.kept[:r]], lower=1)[0] if r else g[:0]
         pivot = float(g[-1]) - float(np.dot(row, row))
-        if pivot <= RCOND * self.top:
+        if pivot <= RCOND * float(g[-1]):
             return
         if r == self.L.shape[0]:
             grown = np.zeros((2 * r, 2 * r), order="F")
@@ -195,9 +191,13 @@ class SpanBasis:
     lies between the longest row and sqrt(size) times it.  Like GramFactor,
     it judges a row against the rows before it, so a row that comes after
     nearly dependent ones can keep a direction that the SVD of the whole
-    stack would cut.  A kept direction is never refactored, so k new rows
-    in dimension n cost O(k n rank) for the projections plus O(k^2 n) for
-    their QR, whatever the rows before.
+    stack would cut.  Unlike GramFactor's, its cut stays relative to the
+    longest row, not to the row's own length: it only measures the span
+    for condition (B'), whose worst residual on the window workload (seeds
+    97, 1 and 5) reads 9.2e-11 with the solver's scale-free factor and
+    8.6e-11 with the old one.  A kept direction is never refactored, so k
+    new rows in dimension n cost O(k n rank) for the projections plus
+    O(k^2 n) for their QR, whatever the rows before.
 
     SpanBasis(dim, capacity) holds at most capacity rows between resets.
     """

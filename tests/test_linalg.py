@@ -250,18 +250,21 @@ def test_gram_factor_solve_matches_the_min_norm_solve():
 
 
 def test_gram_factor_rank_rule_judges_each_row_against_the_rows_before_it():
-    """A row leaves the factor when its pivot is <= RCOND times the largest
-    Gram diagonal entry so far: a nearly parallel copy (pivot 1e-14) and a
-    row 1e-7 times the length of an earlier one stay out, a pivot of 1e-10
-    stays in, and an earlier short row stays in next to a later long one."""
+    """A row leaves the factor when its pivot, its squared distance from the
+    kept rows before it, is <= RCOND times its own squared length: a nearly
+    parallel copy (relative pivot 1e-14) stays out, a relative pivot of
+    1e-10 stays in, and a short row in a new direction (1e-7 e2) stays in
+    however long the rows before it are; an earlier short row stays in next
+    to a later long one, and a later unit row next to an earlier long one.
+    Both checked through append and through of."""
     e = np.eye(4)
     rows = [e[0], e[0] + 1e-7 * e[1], e[0] + 1e-5 * e[1], 1e-7 * e[2], 1e9 * e[3]]
     A = np.vstack(rows)
-    f = factor_by_rows(A @ A.T)
-    assert f.rank == 3
-    assert list(f.kept[:3]) == [0, 2, 4]
-    short_first = np.vstack([e[0], 1e9 * e[1]])
-    assert GramFactor.of(short_first @ short_first.T).rank == 2
+    for f in (factor_by_rows(A @ A.T), GramFactor.of(A @ A.T)):
+        assert f.rank == 4
+        assert list(f.kept[:4]) == [0, 2, 3, 4]
+    for pair in (np.vstack([e[0], 1e9 * e[1]]), np.vstack([1e9 * e[0], e[1]])):
+        assert GramFactor.of(pair @ pair.T).rank == factor_by_rows(pair @ pair.T).rank == 2
 
 
 def test_gram_solve_rejects_a_factor_of_another_size():
