@@ -136,11 +136,11 @@ def write_trace_csv(fh, result: SolveResult, sets: Sequence[AffineSet],
     cols += [f"residual_per_set_{i + 1}" for i in range(len(sets))]
     cols.append("dist_oracle")
     fh.write(",".join(cols) + "\n")
-    for r in result.trace:
+    for r, step in zip(result.trace, result.step_norms()):
         residuals = [s.residual(r.point) for s in sets]
         row = [str(r.index), r.phase,
                "" if r.set_index is None else str(r.set_index + 1),
-               _fmt(r.step_norm), _fmt(max(residuals))]
+               _fmt(step), _fmt(max(residuals))]
         row += [_fmt(v) for v in residuals]
         row.append("" if oracle_point is None else _fmt(norm(r.point - oracle_point)))
         fh.write(",".join(row) + "\n")

@@ -25,15 +25,14 @@ class IterationRecord:
 
     index is the main-iteration number (records of the same iteration
     share it); phase is one of set-projection, hyperplane-projection,
-    m1-projection.  point is a copy of the sub-step's point; residuals
-    and distances are computed from it by the reader that wants them
-    (see cli.write_trace_csv).
+    m1-projection.  point is a copy of the sub-step's point; step
+    lengths, residuals and distances are computed from it by the reader
+    that wants them (see SolveResult.step_norms and cli.write_trace_csv).
     """
 
     index: int
     phase: str
     set_index: Optional[int]
-    step_norm: float
     point: np.ndarray
 
 
@@ -129,6 +128,7 @@ def _corrections(result):
         return
     basis = SpanBasis(result.x0.shape[0], max(len(window) for window in history))
     alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
+    steps = result.step_norms() if alg1 else None
     owners = np.array([k for k, _ in generated], dtype=np.intp)
     start = stop = 0  # the previous window's bounds
     for i, window in enumerate(history):
@@ -138,18 +138,18 @@ def _corrections(result):
             start = stop = window.start
         basis.extend([generated[j][1].normal for j in range(stop, window.stop)])
         stop = window.stop
-        yield basis, (_alg1_decomposition(result, i, own, owners[window.start:stop],
+        yield basis, (_alg1_decomposition(result, steps, i, own, owners[window.start:stop],
                                           basis.rows[:basis.size]) if alg1 else None)
 
 
-def _alg1_decomposition(result, i: int, own: bool, owners, normals) -> StepDecomposition:
+def _alg1_decomposition(result, steps, i: int, own: bool, owners, normals) -> StepDecomposition:
     """Iteration i + 1 of run_alg1: the normal it found, its set projection's
     displacement (the window's last normal when own, else none), then the
     correction sum(lam_j a_j) over the window's normals, split by owners,
     the sets that generated them; every normal is orthogonal to its set's
     directions.  One product sums the pieces: row k of the weights holds
     the lam_j of set k, so it costs O(k m n) for k sets and m normals of
-    dimension n."""
+    dimension n.  steps is result.step_norms()."""
     total = float(np.dot(normals[-1], normals[-1])) if own else 0.0
     lam = result.coefficients[i]
     if lam.size:  # empty after a fallback to no correction
@@ -157,7 +157,7 @@ def _alg1_decomposition(result, i: int, own: bool, owners, normals) -> StepDecom
         weights[owners, np.arange(lam.size)] = lam
         pieces = weights @ normals
         total += float(np.vdot(pieces, pieces))
-    project, correct = result.trace[2 * i].step_norm, result.trace[2 * i + 1].step_norm
+    project, correct = steps[2 * i], steps[2 * i + 1]
     return StepDecomposition(components=total, steps=project * project + correct * correct)
 
 
@@ -169,8 +169,7 @@ def step_decompositions(result) -> List[StepDecomposition]:
     its corrections follow a composite step.
     """
     if all(r.phase == "set-projection" for r in result.trace):  # run_map
-        return [StepDecomposition(components=s * s, steps=s * s)
-                for s in (r.step_norm for r in result.trace)]
+        return [StepDecomposition(components=s * s, steps=s * s) for s in result.step_norms()]
     return [d for _, d in _corrections(result) if d is not None]
 
 

@@ -40,10 +40,13 @@ def test_trace_csv_values_come_from_the_trace_points(tmp_path):
     oracle_point = direct_projection(x0, stack(sets))
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + len(r.trace)
+    previous = x0
     for line, rec in zip(lines[1:], r.trace):
-        cells = [float(c) for c in line.split(",")[4:]]
+        cells = [float(c) for c in line.split(",")[3:]]
         residuals = [s.residual(rec.point) for s in sets]
-        assert cells == [max(residuals)] + residuals + [norm(rec.point - oracle_point)]
+        assert cells == ([norm(rec.point - previous), max(residuals)] + residuals
+                         + [norm(rec.point - oracle_point)])
+        previous = rec.point
 
 
 def test_run_is_deterministic(tmp_path):

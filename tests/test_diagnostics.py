@@ -141,21 +141,22 @@ def test_condition_report_aggregates_all_monitors():
 def test_map_decompositions_are_the_squared_steps():
     sets, x0, _ = random_family(8)
     r = run_map(sets, x0, stop=StoppingRule(1e-10, 2000))
-    assert step_decompositions(r) == [StepDecomposition(components=t.step_norm * t.step_norm,
-                                                        steps=t.step_norm * t.step_norm)
-                                      for t in r.trace]
+    assert step_decompositions(r) == [StepDecomposition(components=s * s, steps=s * s)
+                                      for s in r.step_norms()]
 
 
 def reference_alg1_decompositions(r):
-    """Each run_alg1 iteration from its two trace records, the normal it
-    found (none when its window's stop did not grow) and its window's
-    coefficients, the correction split by the set that generated each
-    normal, one set at a time."""
+    """Each run_alg1 iteration from the step lengths of its two trace
+    records, the normal it found (none when its window's stop did not grow)
+    and its window's coefficients, the correction split by the set that
+    generated each normal, one set at a time."""
     out = []
     stop = 0
+    steps = r.step_norms()
     for i, (sel, lam) in enumerate(zip(r.selected_history, r.coefficients)):
-        project, correct = r.trace[2 * i:2 * i + 2]
-        assert (project.phase, correct.phase) == ("set-projection", "hyperplane-projection")
+        assert ([t.phase for t in r.trace[2 * i:2 * i + 2]]
+                == ["set-projection", "hyperplane-projection"])
+        project, correct = steps[2 * i:2 * i + 2]
         a = r.generated[sel.stop - 1][1].normal if sel.stop > stop else np.zeros(0)
         stop = sel.stop
         window = [r.generated[j] for j in sel]
@@ -165,7 +166,7 @@ def reference_alg1_decompositions(r):
         components = float(np.dot(a, a)) + float(sum(np.dot(v, v) for v in pieces.values()))
         out.append(StepDecomposition(
             components=components,
-            steps=project.step_norm * project.step_norm + correct.step_norm * correct.step_norm))
+            steps=project * project + correct * correct))
     return out
 
 
