@@ -23,16 +23,14 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-# Absolute displacement at or below which alg2 treats a composite step as
-# degenerate and records no hyperplane for it.
-TOL_LIN = 1e-10
-
 # Absolute residual above which a constraint system is declared
 # infeasible rather than noisy.
 TOL_FEAS = 1e-8
 
-# Relative rank cutoff: singular values below RCOND * sigma_max are
-# treated as zero in every least-squares solve.
+# Relative rank cutoff, used three ways: lstsq_min_norm and build_problem's
+# W^T W check cut singular values at RCOND * sigma_max; GramFactor cuts a
+# pivot at RCOND * ||a_j||^2, the row's own squared length; SpanBasis cuts
+# |R_jj| at RCOND times the longest row.
 RCOND = 1e-12
 
 

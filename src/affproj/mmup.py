@@ -445,9 +445,9 @@ def load_problem_json(path) -> Tuple[MmupProblem, PencilData]:
     Expected shape: {"M": [[...]], "D": [[...]], "K": [[...]],
     "targets": [{"mu_re": f, "mu_im": f, "y_re": [...], "y_im": [...]}]}.
     Targets with nonzero imaginary data are treated as conjugate pairs.
-    A missing key raises ValueError naming it, and so does a NaN or
-    infinite entry (JSON's NaN and Infinity are read): the matrix m, d or
-    k, or a target's mu or y.
+    A missing key, or a value of the wrong type, raises ValueError naming
+    the file; a NaN or infinite entry (JSON's NaN and Infinity are read)
+    raises ValueError naming the matrix m, d or k, or a target's mu or y.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -462,4 +462,6 @@ def load_problem_json(path) -> Tuple[MmupProblem, PencilData]:
             pairs.append(TargetPair(mu, y_re + 1j * y_im, conjugate_pair=conj))
     except KeyError as e:
         raise ValueError(f"problem file {path} has no key {e.args[0]!r}") from None
+    except TypeError as e:
+        raise ValueError(f"problem file {path} does not have the expected shape: {e}") from None
     return build_problem(pencil, TargetSpectrum(pairs)), pencil

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .diagnostics import IterationRecord
-from .linalg import TOL_LIN, GramFactor, as_point, inner, norm
+from .linalg import GramFactor, as_point, inner, norm
 from .sets import (AffineSet, Hyperplane, InfeasibleIntersectionError,
                    InfeasibleSetError, _window_step)
 
@@ -258,11 +258,11 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
     is every set index in order, or every one but 0 under a lift.
     path(sets, l, p) gives the projections of an iteration from x, the
     first being p = P_l(x), as (phase, set index, point) triples; without
-    support, their end is the next iterate.  support(x, path, d, step, i,
-    warnings), with d = x - p and step = ||d||, gives the hyperplane the
-    iteration found as a normal and a point on it (None, None: it found
-    none and records nothing), and the window correction of the path's end
-    is the next iterate; its window and coefficients are only stored, for
+    support, their end is the next iterate.  support(x, path, d), with
+    d = x - p, gives the hyperplane of the step as a normal and an offset,
+    recorded exactly when ||normal|| > ROUNDOFF_STEP ||x|| (else the
+    iteration found none), and the window correction of the path's end is
+    the next iterate; its window and coefficients are only stored, for
     diagnostics.  lift is the set the start is first projected onto (set 0).
     An empty family raises ValueError.  policy is the window policy of an
     accelerated run.
@@ -319,15 +319,16 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
         l = cycle[i % len(cycle)]
         noted = len(warnings)
         try:
-            p, d, step = ahead or _first_step(sets, l, x)
+            p, d, _ = ahead or _first_step(sets, l, x)
             steps = path(sets, l, p)
             records = [_record(i + 1, *s) for s in steps]
             xn = steps[-1][2]
             if support is not None:
-                normal, through = support(x, steps, d, step, i + 1, warnings)
-                if normal is not None:
-                    buffer.append(Hyperplane(normal, inner(normal, through)), l)
-                xn, selected, lam = _correct(xn, buffer, normal is not None, i, warnings)
+                normal, offset = support(x, steps, d)
+                found = norm(normal) > ROUNDOFF_STEP * norm(x)
+                if found:
+                    buffer.append(Hyperplane(normal, offset), l)
+                xn, selected, lam = _correct(xn, buffer, found, i, warnings)
             d = ahead = None  # kept alive through _check, d slowed pencil map_s by 11%
             met, ahead = _check(sets, xn, cycle[(i + 1) % len(cycle)],
                                 l if support is None else None, stop.stop_tol)
@@ -364,27 +365,21 @@ def _composite_projection(sets, l, p):
     return [("set-projection", l, p), ("m1-projection", 0, sets[0].project(p))]
 
 
-# A displacement of at most ROUNDOFF_STEP * max(1, ||x||) is roundoff (such as
-# a repeated projection onto a one-row set): as a window row, its noise
-# direction would pull the correction along C - C, away from P_C(x0).
+# A normal of at most ROUNDOFF_STEP * ||x|| is roundoff (such as a repeated
+# projection onto a one-row set): as a window row, its noise direction would
+# pull the correction along C - C, away from P_C(x0).  The rule has no unit,
+# so it decides each step of a problem scaled by a power of two as at scale 1.
 ROUNDOFF_STEP = 64 * np.finfo(float).eps
 
 
-def _displacement_hyperplane(x, path, d, step, i, warnings):
-    return (d if step > ROUNDOFF_STEP * max(1.0, norm(x)) else None), path[0][2]
+def _displacement_hyperplane(x, path, d):
+    return d, inner(d, path[0][2])
 
 
-def _composite_hyperplane(x, path, d, step, i, warnings):
-    xpp = path[1][2]
-    a = x - xpp
-    nn = norm(a)
-    if nn <= TOL_LIN:
-        # numerically a fixed point of the composite projection: no usable hyperplane
-        warnings.append(f"iteration {i}: degenerate composite step "
-                        f"(displacement {nn:.3e}), recorded no hyperplane")
-        return None, None
-    t = inner(d, d) / inner(a, a)
-    return a, x + t * (xpp - x)
+def _composite_hyperplane(x, path, d):
+    # offset <a, x + t (x'' - x)> with t = ||d||^2 / ||a||^2, without dividing
+    a = x - path[1][2]
+    return a, inner(a, x) - inner(d, d)
 
 
 def run_map(sets: Sequence[AffineSet], x0, stop: Optional[StoppingRule] = None) -> SolveResult:
@@ -412,7 +407,7 @@ def run_alg2(sets: Sequence[AffineSet], x0, policy: WindowPolicy = All(),
 
     The starting point is first lifted into the easy set.  An iteration
     at x does x' = P_l(x), x'' = P_0(x'), then records the hyperplane
-    with normal a = x - x'' passing through
+    with normal a = x - x'' (none when a is roundoff) passing through
     x + (||x - x'||^2 / ||x - x''||^2) (x'' - x), which contains the
     whole intersection and whose normal is a direction of the easy set.
     The correction therefore never leaves the easy set.

@@ -200,6 +200,24 @@ def test_problem_file_without_a_key_is_a_reported_error(tmp_path, capsys, key):
     assert f"error: problem file {path} has no key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["top-level list", "number targets", "string mu_re"])
+def test_problem_file_of_the_wrong_shape_is_a_reported_error(tmp_path, capsys, case):
+    """Each of these made the loader raise TypeError, which the CLI did not
+    catch: a traceback and exit code 1, the code for an infeasible problem."""
+    doc = _experiment1_doc()
+    if case == "top-level list":
+        doc = [doc]
+    elif case == "number targets":
+        doc["targets"] = 5
+    else:
+        doc["targets"][0]["mu_re"] = "0.5"
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--problem", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: problem file {path} does not have the expected shape" in err
+
+
 @pytest.mark.parametrize("where,value,named", [
     ("K", np.nan, "pencil matrix k"), ("M", np.inf, "pencil matrix m"),
     ("y_re", np.nan, "target eigenvector y"), ("mu_re", np.inf, "target eigenvalue mu"),
