@@ -30,7 +30,7 @@ TOL_FEAS = 1e-8
 # Relative rank cutoff, used three ways: lstsq_min_norm and build_problem's
 # W^T W check cut singular values at RCOND * sigma_max; GramFactor cuts a
 # pivot at RCOND * ||a_j||^2, the row's own squared length; SpanBasis cuts
-# |R_jj| at RCOND times the longest row.
+# the singular values of a block of new rows at RCOND times the longest row.
 RCOND = 1e-12
 
 
@@ -183,19 +183,18 @@ class SpanBasis:
     rows of Q[:rank] are an orthonormal basis of their span.  extend
     orthogonalises its new rows against Q twice (classical Gram-Schmidt,
     CGS2) and factors what is left with one pivoted QR (LAPACK dgeqp3, then
-    dorgqr for its Q factor).  It keeps the leading columns whose |R_jj| is
-    above RCOND times the longest row so far, which mirrors the
-    RCOND * sigma_max cut of lstsq_min_norm on the stacked rows: sigma_max
-    lies between the longest row and sqrt(size) times it.  Like GramFactor,
-    it judges a row against the rows before it, so a row that comes after
-    nearly dependent ones can keep a direction that the SVD of the whole
-    stack would cut.  Unlike GramFactor's, its cut stays relative to the
-    longest row, not to the row's own length: it only measures the span
-    for condition (B'), whose worst residual on the window workload (seeds
-    97, 1 and 5) reads 9.2e-11 with the solver's scale-free factor and
-    8.6e-11 with the old one.  A kept direction is never refactored, so k
-    new rows in dimension n cost O(k n rank) for the projections plus
-    O(k^2 n) for their QR, whatever the rows before.
+    dorgqr for its Q factor).  When some |R_jj| is at most RCOND times the
+    longest row so far, it keeps R's singular directions above that cut, not
+    the leading columns (past the clear rank, the longest leftover rows).
+    This mirrors the RCOND * sigma_max cut of lstsq_min_norm on the stacked
+    rows: sigma_max lies between the longest row and sqrt(size) times it.
+    Like GramFactor, it judges a row against the rows before it, so a row
+    that comes after nearly dependent ones can keep a direction that the SVD
+    of the whole stack would cut.  Unlike GramFactor's, its cut stays
+    relative to the longest row, not to the row's own length, since it only
+    measures the span for condition (B').  A kept direction is never
+    refactored, so k new rows in dimension n cost O(k n rank) for the
+    projections plus O(k^2 n) for their QR, whatever the rows before.
 
     SpanBasis(dim, capacity) holds at most capacity rows between resets.
     """
@@ -232,10 +231,16 @@ class SpanBasis:
             for _ in range(2):
                 W -= (W @ Q.T) @ Q
         qr, _, tau, _, _ = lapack.dgeqp3(W.T, overwrite_a=1)
-        small = np.flatnonzero(np.abs(qr.diagonal()) <= RCOND * self.top)
-        keep = int(small[0]) if small.size else tau.shape[0]
+        m = keep = tau.shape[0]
+        turn = None
+        if np.abs(qr.diagonal()).min() <= RCOND * self.top:
+            # W^T = Q R P^T, so its singular directions are Q times R's
+            turn, sv = np.linalg.svd(np.triu(qr[:m]))[:2]
+            keep = int(np.count_nonzero(sv > RCOND * self.top))
         if keep:
-            lapack.dorgqr(qr[:, :keep], tau[:keep], overwrite_a=1)
+            lapack.dorgqr(qr[:, :m], tau, overwrite_a=1)
+            if turn is not None:
+                W[:keep] = turn[:, :keep].T @ W[:m]
             self.rank += keep
 
     def residual(self, v) -> float:

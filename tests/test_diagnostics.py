@@ -314,6 +314,7 @@ def span_case(kind, seed):
 @example("parallel", run_alg1, LastQ(3), 0, 4.0)
 @example("inconsistent", run_alg1, All(), 0, 0.0)         # fallbacks under All()
 @example("inconsistent", run_alg2, LastQ(4), 1, -7.0)
+@example("inconsistent", run_alg1, LastQ(6), 306, 0.0)    # a third direction 1.06x the cut
 def test_span_residuals_match_the_least_squares_reference(kind, runner, policy, seed, length):
     """The report's span residuals against reference_span_residual on every
     correction, from the report's start, within reference_slack; and under

@@ -305,3 +305,24 @@ def test_span_basis_grown_row_by_row_matches_one_extend():
         grown.extend([A[0]])
     grown.reset()
     assert grown.size == grown.rank == 0 and grown.residual(v) == norm(v)
+
+
+def test_span_basis_keeps_the_leading_singular_direction_past_the_clear_rank():
+    """Two unit rows and two rows about 1e-12 long, turned by a random
+    rotation: singular values 1, 1, 2.0e-12 and 6.6e-13 against a cut of
+    1e-12.  The basis keeps the third singular direction, as the
+    least-squares reference does, not the longest leftover row: with that
+    row the residual of v read 1.0, against 0.9526.  The tolerance is above
+    the roundoff in a direction that sits 1.3e-12 from the next one
+    (eps / 1.3e-12, about 2e-4)."""
+    A = np.zeros((4, 4))
+    A[0, 0] = A[1, 1] = 1.0
+    A[2, 2] = 1.5e-12
+    A[3, 2:] = [1.16e-12, 0.87e-12]
+    turn, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
+    A, v = A @ turn.T, turn[:, 3]
+    basis = SpanBasis(4, 4)
+    basis.extend(list(A))
+    ref = norm(v - A.T @ lstsq_min_norm(A.T, v))
+    assert basis.rank == 3 and abs(ref - 0.9526) < 1e-4
+    assert abs(basis.residual(v) - ref) <= 1e-3
