@@ -445,23 +445,34 @@ def load_problem_json(path) -> Tuple[MmupProblem, PencilData]:
     Expected shape: {"M": [[...]], "D": [[...]], "K": [[...]],
     "targets": [{"mu_re": f, "mu_im": f, "y_re": [...], "y_im": [...]}]}.
     Targets with nonzero imaginary data are treated as conjugate pairs.
-    A missing key, or a value of the wrong type, raises ValueError naming
-    the file; a NaN or infinite entry (JSON's NaN and Infinity are read)
-    raises ValueError naming the matrix m, d or k, or a target's mu or y.
+    A missing key, a value of the wrong type, an empty "targets" list, or a
+    y_re and y_im that are not lists of one length raises ValueError naming
+    the file (and the key, for the last two); a NaN or infinite entry
+    (JSON's NaN and Infinity are read) raises ValueError naming the matrix
+    m, d or k, or a target's mu or y.
     """
     with open(path) as fh:
         data = json.load(fh)
+
+    def misshapen(why):
+        return ValueError(f"problem file {path} does not have the expected shape: {why}")
+
     try:
         pencil = PencilData(data["M"], data["D"], data["K"])
+        if not isinstance(data["targets"], list) or not data["targets"]:
+            raise misshapen("'targets' must be a non-empty list")
         pairs = []
         for t in data["targets"]:
             mu = complex(t["mu_re"], t.get("mu_im", 0.0))
             y_re = np.asarray(t["y_re"], dtype=float)
             y_im = np.asarray(t.get("y_im", np.zeros_like(y_re)), dtype=float)
+            if y_re.ndim != 1 or y_im.shape != y_re.shape:
+                raise misshapen(f"'y_re' and 'y_im' must be lists of one length, not of "
+                                f"shapes {y_re.shape} and {y_im.shape}")
             conj = mu.imag != 0.0 or np.any(y_im != 0.0)
             pairs.append(TargetPair(mu, y_re + 1j * y_im, conjugate_pair=conj))
     except KeyError as e:
         raise ValueError(f"problem file {path} has no key {e.args[0]!r}") from None
     except TypeError as e:
-        raise ValueError(f"problem file {path} does not have the expected shape: {e}") from None
+        raise misshapen(e) from None
     return build_problem(pencil, TargetSpectrum(pairs)), pencil

@@ -6,7 +6,8 @@ or any other subclass that implements an exact project() (mmup's S and V
 are two).  A hyperplane's normal is never zero: a projection step that
 identifies no hyperplane records none.  A row-constraint set and the
 oracle factor {x : C x = d} alike (_unit_row_factor): one GramFactor of
-the unit-row Gram matrix, whose rank rule leaves dependent rows out.
+the unit-row Gram matrix, whose rank rule leaves dependent rows out, with
+the Gram matrix formed from a CSR copy of C when C is large and sparse.
 """
 
 from __future__ import annotations
@@ -132,18 +133,62 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
     return _window_step(x, A, b, np.arange(len(A)), GramFactor.of(A @ A.T))[0]
 
 
+# The size and density cuts of _unit_row_factor's sparse path; its
+# docstring gives the measured crossover.
+SPARSE_MIN_ENTRIES = 1 << 20
+SPARSE_MAX_DENSITY = 0.01
+
+
+def _sparse_copy(C: np.ndarray):
+    """A CSR copy of C when C is large and sparse (see _unit_row_factor),
+    else None.  A small C is not scanned; a large one is scanned once, into
+    a mask of its nonzeros."""
+    if C.size < SPARSE_MIN_ENTRIES:
+        return None
+    mask = C != 0
+    if np.count_nonzero(mask) > SPARSE_MAX_DENSITY * C.size:
+        return None
+    # imported here, since importing scipy.sparse adds 1.7 MB to the peak
+    # memory of a process whose stacks are all dense
+    from scipy.sparse import csr_matrix
+    m, n = C.shape
+    flat = np.flatnonzero(mask)
+    indptr = np.searchsorted(flat, np.arange(0, m * n + 1, n))
+    return csr_matrix((C[mask], flat % n, indptr), shape=C.shape)
+
+
 def _unit_row_factor(C: np.ndarray, d: np.ndarray):
-    """(s, factor): s_i = 1 / ||c_i|| scales the rows of C to unit length
-    (a zero row keeps 1), and factor is the GramFactor of S C C^T S,
-    S = diag(s).  When the factor leaves a row out, raises
+    """(A, s, factor): A is C, or its CSR copy when C is large and sparse,
+    for the caller's products with C; s_i = 1 / ||c_i|| scales the rows of
+    C to unit length (a zero row keeps 1); factor is the GramFactor of
+    S C C^T S, S = diag(s).  When the factor leaves a row out, raises
     InfeasibleSetError if the least-norm point C^T S lam,
     lam = factor.solve(S d), misses S C x = S d, the rows left out
     included, by more than TOL_FEAS * max(1, ||S d||); that miss is
     ||G lam - S d||, G = S C C^T S, so no product with C.  When the factor
     keeps every row, C has full row rank and C x = d has a solution for
     every d, so there is nothing to check and no solve is made.
+
+    Two ways to form C C^T, chosen from C alone.  When C has at least
+    SPARSE_MIN_ENTRIES (2^20) entries and at most SPARSE_MAX_DENSITY (1%)
+    of them are nonzero, C is scanned once into a CSR copy and C C^T is
+    its sparse product with its transpose, made dense for the factor.
+    Every other C takes the dense C @ C.T, and a smaller one is not
+    scanned: on a row family's 160 x 400 stack, masking and counting its
+    nonzeros takes 19 us, against 0.24 ms for C @ C.T in an oracle call of
+    about 0.65 ms.  The crossover was measured on uniform random patterns
+    in 1024 x 1024, 1240 x 1600, 600 x 2048, 2048 x 600 and 2700 x 3600
+    stacks (one thread): the CSR product broke even at 2.5-4% nonzero and
+    was 4-6x faster at 1%.  The pencil stacks are well below the cut: the
+    n = 20 chain's 1240 x 1600 stack is 0.32% nonzero, experiment 2's
+    2700 x 3600 0.07%.  The two products sum in another order, so their
+    factors differ by roundoff.
     """
-    G = C @ C.T
+    A = _sparse_copy(C)
+    if A is None:
+        A, G = C, C @ C.T
+    else:
+        G = (A @ A.T).toarray()
     lengths = np.sqrt(np.diag(G))
     s = 1.0 / np.where(lengths > 0.0, lengths, 1.0)
     G *= s[:, None]
@@ -153,7 +198,7 @@ def _unit_row_factor(C: np.ndarray, d: np.ndarray):
     if factor.rank < factor.size and (
             norm(G @ factor.solve(sd) - sd) > TOL_FEAS * max(1.0, norm(sd))):
         raise InfeasibleSetError("row system C x = d is inconsistent")
-    return s, factor
+    return A, s, factor
 
 
 class RowConstraintSet(AffineSet):
@@ -181,7 +226,7 @@ class RowConstraintSet(AffineSet):
     def _scaled_gap(self, x):
         """(x, B^T (C x - d)) with x checked against the dimension."""
         if self._half_pinv is None:
-            s, factor = _unit_row_factor(self.C, self.d)
+            _, s, factor = _unit_row_factor(self.C, self.d)
             r, kept = factor.rank, factor.kept[:factor.rank]
             B = np.zeros((self.C.shape[0], r))
             if r:  # dtrtri rejects an empty matrix

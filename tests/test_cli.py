@@ -218,6 +218,25 @@ def test_problem_file_of_the_wrong_shape_is_a_reported_error(tmp_path, capsys, c
     assert f"error: problem file {path} does not have the expected shape" in err
 
 
+@pytest.mark.parametrize("case", ["y_re of length 1", "y_re a number", "empty targets"])
+def test_problem_file_with_a_misshapen_target_names_the_file_and_the_key(tmp_path, capsys, case):
+    """A y_re of length 1, or a bare number, next to experiment 1's
+    length-4 y_im used to broadcast, and the run solved another target
+    (exit 0); an empty targets list failed with numpy's "need at least one
+    array to concatenate", which named neither the file nor the key."""
+    doc = _experiment1_doc()
+    if case == "empty targets":
+        doc["targets"], key = [], "'targets'"
+    else:
+        doc["targets"][0]["y_re"] = [1.0] if case == "y_re of length 1" else 1.0
+        key = "'y_re' and 'y_im'"
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--problem", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: problem file {path} does not have the expected shape: {key}" in err
+
+
 @pytest.mark.parametrize("where,value,named", [
     ("K", np.nan, "pencil matrix k"), ("M", np.inf, "pencil matrix m"),
     ("y_re", np.nan, "target eigenvector y"), ("mu_re", np.inf, "target eigenvalue mu"),

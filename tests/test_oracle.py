@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+from affproj import oracle, sets
 from affproj.linalg import GramFactor, inner, lstsq_min_norm, norm
 from affproj.mmup import (PencilData, TargetPair, TargetSpectrum, build_problem, experiment1,
                           experiment2)
@@ -48,6 +50,30 @@ def test_stack_enforces_row_cap():
     d = np.ones(MAX_ROWS + 1)
     with pytest.raises(ValueError):
         stack([RowConstraintSet(C, d)])
+
+
+def test_stack_checks_the_cap_before_a_later_export_or_a_concatenation(monkeypatch):
+    """A family whose first export is over the cap raises before the next
+    set is exported and before anything is concatenated: an n = 45 chain
+    used to build its whole 6 165-row stack first."""
+    exported = []
+
+    class Spy(AffineSet):
+        dim = 2
+
+        def rows(self):
+            exported.append(self)
+            return np.eye(2), np.zeros(2)
+
+    def concatenated(*args, **kwargs):
+        raise AssertionError("stack concatenated its blocks")
+
+    monkeypatch.setattr(oracle, "MAX_ROWS", 10)
+    monkeypatch.setattr(np, "vstack", concatenated)
+    monkeypatch.setattr(np, "concatenate", concatenated)
+    with pytest.raises(ValueError, match="11 rows after set 0, above the cap of 10"):
+        stack([RowConstraintSet(np.ones((11, 2)), np.ones(11)), Spy()])
+    assert exported == []
 
 
 def test_feasible_point_is_fixed():
@@ -305,3 +331,82 @@ def test_an_inconsistent_stack_with_a_dependent_row_raises_from_set_and_oracle(d
     for call in (RowConstraintSet(C, d).project, RowConstraintSet(C, d).residual):
         with pytest.raises(InfeasibleSetError):
             call(x0)
+
+
+def _sparse_stack(seed, shift=0.0):
+    """(C, d, x0): 800 rows in dim 1 400, 0.4% Gaussian entries and 2 added
+    on the diagonal (full row rank), then rows 3, 17 and 29 again (the
+    copy of row 29 with d moved by shift): 803 x 1 400 = 1 124 200
+    entries, 0.47% nonzero, so the CSR path forms the Gram matrix."""
+    rng = np.random.default_rng(seed)
+    C = np.where(rng.random((800, 1400)) < 0.004, rng.standard_normal((800, 1400)), 0.0)
+    C[np.arange(800), np.arange(800)] += 2.0
+    C = np.vstack([C, C[[3, 17, 29]]])
+    d = C @ rng.standard_normal(1400)
+    d[-1] += shift
+    return C, d, rng.standard_normal(1400)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _pencil_stack(_chain_twin()), id="chain-n20"),
+    pytest.param(lambda: _pencil_stack(experiment2()[0]), id="experiment2"),
+    pytest.param(lambda: _sparse_stack(0), id="sparse-with-duplicates"),
+])
+def test_the_sparse_gram_factors_like_the_dense_one(make, monkeypatch):
+    C, d, _ = make()
+    A, s, sparse = sets._unit_row_factor(C, d)
+    assert A is not C
+    monkeypatch.setattr(sets, "SPARSE_MIN_ENTRIES", np.iinfo(np.int64).max)  # no stack is large
+    B, t, dense = sets._unit_row_factor(C, d)
+    assert B is C
+    r = dense.rank
+    assert (sparse.rank, sparse.size) == (r, dense.size)
+    np.testing.assert_array_equal(sparse.kept[:r], dense.kept[:r])
+    # unit rows: every entry of L is at most 1, so atol is relative to the largest
+    np.testing.assert_allclose(sparse.L[:r, :r], dense.L[:r, :r], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(s, t, rtol=1e-12)
+
+
+def test_an_inconsistent_sparse_stack_raises_from_oracle_and_set():
+    C, d, x0 = _sparse_stack(1, shift=1e-3)
+    assert sets._sparse_copy(C) is not None
+    with pytest.raises(InfeasibleSetError):
+        direct_projection(x0, (C, d))
+    with pytest.raises(InfeasibleSetError):
+        RowConstraintSet(C, d).project(x0)
+
+
+def test_the_dense_gram_is_c_times_its_transpose_bit_for_bit():
+    rng = np.random.default_rng(13)
+    C = rng.standard_normal((160, 400))
+    A, s, factor = sets._unit_row_factor(C, C @ rng.standard_normal(400))
+    assert A is C
+    G = C @ C.T
+    lengths = np.sqrt(np.diag(G))
+    np.testing.assert_array_equal(s, 1.0 / lengths)
+    G *= s[:, None]
+    G *= s
+    np.testing.assert_array_equal(factor.L, GramFactor.of(G).L)
+
+
+@pytest.mark.parametrize("make,sparse", [
+    pytest.param(lambda: _pencil_stack(_chain_twin()), True, id="pencil-twin"),
+    pytest.param(lambda: _sparse_stack(2), True, id="sparse-with-duplicates"),
+    pytest.param(lambda: _consistent(np.random.default_rng(14).standard_normal((160, 400)), 14),
+                 False, id="gaussian-160x400"),
+    pytest.param(lambda: _consistent(np.random.default_rng(15).standard_normal((1100, 1000)),
+                                     15), False, id="gaussian-1100x1000"),
+    pytest.param(lambda: _consistent(np.eye(1000)[:900], 16), False, id="small-identity"),
+])
+def test_the_gram_path_follows_size_and_density(make, sparse, monkeypatch):
+    """Only a stack of at least 2^20 entries, at most 1% of them nonzero,
+    is copied to CSR; a smaller one takes the dense path however sparse it
+    is (900 x 1 000 identity rows, 0.1%), and a large dense one after its
+    one scan."""
+    copies = []
+    csr_matrix = scipy.sparse.csr_matrix
+    monkeypatch.setattr(scipy.sparse, "csr_matrix",
+                        lambda *a, **k: copies.append(1) or csr_matrix(*a, **k))
+    C, d, x0 = make()
+    direct_projection(x0, (C, d))
+    assert copies == ([1] if sparse else [])
