@@ -122,7 +122,13 @@ class GramFactor:
     one triangular solve: O(rank^2) per row, never a refactor.
     GramFactor.of(G) factors a whole G with one LAPACK call (dpotrf), keeps
     its leading rows up to the first pivot that fails the rank rule, and
-    appends the rows from there on one by one.
+    appends the rows from there on one by one.  GramFactor.of(G, h), for a
+    G whose leading h x h block is diagonal with a positive diagonal (h
+    mutually orthogonal nonzero rows), takes that block's factor in closed
+    form, L11 = diag(sqrt(g_jj)) and L21 = G21 / sqrt(g), and runs dpotrf
+    only on the Schur complement G22 - L21 L21^T: O((k - h)^3 + (k - h)^2 h)
+    instead of O(k^3), with the same rank rule and the same dense L.  h = 0
+    is the single dpotrf above.
     """
 
     def __init__(self):
@@ -132,12 +138,26 @@ class GramFactor:
         self.size = 0
 
     @classmethod
-    def of(cls, G) -> "GramFactor":
+    def of(cls, G, h: int = 0) -> "GramFactor":
         f = cls()
         k = G.shape[0]
-        if k:
+        if h:
+            # the leading h x h block is diagonal and positive: one block
+            # Cholesky step (Golub & Van Loan, Matrix Computations, 4.2) in
+            # closed form, then dpotrf on that block's Schur complement
+            root = np.sqrt(G.diagonal()[:h])
+            L = np.zeros((k, k), order="F")
+            np.fill_diagonal(L[:h, :h], root)
+            L[h:, :h] = L21 = G[h:, :h] / root
+            done = k
+            if h < k:
+                L[h:, h:], info = lapack.dpotrf(G[h:, h:] - L21 @ L21.T, lower=1, clean=1)
+                if info:
+                    done = h + info - 1
+        elif k:
             L, info = lapack.dpotrf(G, lower=1, clean=1)
             done = info - 1 if info else k  # leading columns dpotrf completed
+        if k:
             passed = L.diagonal()[:done] ** 2 > RCOND * G.diagonal()[:done]
             j = done if passed.all() else int(np.argmin(passed))
             f.L, f.kept, f.rank, f.size = L, np.arange(k), j, j

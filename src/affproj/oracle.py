@@ -4,14 +4,16 @@ Every set that can export a row-constraint form {x : C x = d} can be
 stacked into one big consistent system whose solution set is exactly
 the intersection; the projection of any point onto it then takes one
 Cholesky factor of the unit-row Gram matrix of C, the same factor a
-RowConstraintSet keeps (sets._unit_row_factor).  That matrix is formed one
-of two ways: from a CSR copy of C when C is large and sparse, as the
-pencil stacks are, and by the dense C @ C.T otherwise (see
-_unit_row_factor); direct_projection takes its products with C from the
-same copy.  The factor is dense and cubic in the total row count either
-way: on the n = 20 chain's 1 240-row stack, dpotrf takes about 20 of the
-call's 30 ms (one thread).  The oracle exists to validate the iterative
-solvers, so it is capped at a few thousand rows.
+RowConstraintSet keeps (sets._unit_row_factor).  A stack with a sparse
+export (mmup's S is CSR) is CSR itself; its Gram matrix is formed by a
+sparse product, and its leading mutually orthogonal rows are factored in
+closed form, so dpotrf runs only on the Schur complement of the rows
+that couple.  On the n = 20 chain's 1 240-row stack those are V's 60
+rows, and the call takes about 12 ms on one thread, where dpotrf on the
+whole Gram matrix alone takes about 22 ms.  A dense stack is factored
+whole (see _unit_row_factor).  Either way the Gram matrix is made dense
+and L is a dense k x k array, so the oracle, which exists to validate
+the iterative solvers, is capped at a few thousand rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .linalg import as_point, gram_solve
-from .sets import AffineSet, _unit_row_factor
+from .sets import AffineSet, _is_sparse, _unit_row_factor
 
 MAX_ROWS = 5000
 
@@ -30,12 +32,14 @@ class UnsupportedSetError(TypeError):
     """A set lacks the row-constraint export the oracle needs."""
 
 
-def stack(sets: Sequence[AffineSet]) -> Tuple[np.ndarray, np.ndarray]:
+def stack(sets: Sequence[AffineSet]):
     """Concatenate the row-constraint exports of all sets into one pair
     (C, d), the same form each set's rows() returns.
 
     The stacked solution set {x : C x = d} is exactly the intersection of
-    the family.
+    the family.  C is dense when every export is, and a scipy.sparse CSR
+    matrix when any export is sparse (mmup's S), so a sparse block is
+    never made dense.
     Raises UnsupportedSetError for sets without an export, and ValueError
     for an empty family, an export whose C and d disagree in length, and
     beyond the row cap.  The cap is checked after each export, so no set
@@ -47,12 +51,16 @@ def stack(sets: Sequence[AffineSet]) -> Tuple[np.ndarray, np.ndarray]:
     rhs = []
     dim = None
     total = 0
+    sparse = False
     for k, s in enumerate(sets):
         exported = s.rows()
         if exported is None:
             raise UnsupportedSetError(f"set {k} has no row-constraint export")
         C, d = exported
-        C = np.atleast_2d(np.asarray(C, dtype=float))
+        if _is_sparse(C):
+            sparse = True
+        else:
+            C = np.atleast_2d(np.asarray(C, dtype=float))
         d = np.asarray(d, dtype=float).reshape(-1)
         if C.shape[0] != d.shape[0]:
             raise ValueError(f"set {k} exports {C.shape[0]} rows but {d.shape[0]} offsets")
@@ -66,12 +74,15 @@ def stack(sets: Sequence[AffineSet]) -> Tuple[np.ndarray, np.ndarray]:
                              f"of {MAX_ROWS}")
         blocks.append(C)
         rhs.append(d)
+    if sparse:
+        from scipy.sparse import vstack
+        return vstack(blocks, format="csr", dtype=float), np.concatenate(rhs)
     return np.vstack(blocks), np.concatenate(rhs)
 
 
 def direct_projection(x0, rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Projection of x0 onto the solution set of rows = (C, d), as stack()
-    returns it.
+    returns it, with C dense or scipy.sparse.
 
     With the rows scaled to unit length, S C x = S d for S = diag(s),
     solves (S C C^T S) lam = S (C x0 - d) with the GramFactor of that

@@ -7,7 +7,8 @@ are two).  A hyperplane's normal is never zero: a projection step that
 identifies no hyperplane records none.  A row-constraint set and the
 oracle factor {x : C x = d} alike (_unit_row_factor): one GramFactor of
 the unit-row Gram matrix, whose rank rule leaves dependent rows out, with
-the Gram matrix formed from a CSR copy of C when C is large and sparse.
+the Gram matrix formed from C in CSR form when C is sparse, and the
+factor of its leading mutually orthogonal rows taken in closed form.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class AffineSet:
         return norm(x - self.project(x))
 
     def rows(self):
-        """Row-constraint form (C, d), or None when unavailable."""
+        """Row-constraint form (C, d), or None when unavailable.  C may be
+        a scipy.sparse matrix (mmup's S exports CSR), d is a dense vector."""
         return None
 
 
@@ -140,9 +142,9 @@ SPARSE_MAX_DENSITY = 0.01
 
 
 def _sparse_copy(C: np.ndarray):
-    """A CSR copy of C when C is large and sparse (see _unit_row_factor),
-    else None.  A small C is not scanned; a large one is scanned once, into
-    a mask of its nonzeros."""
+    """A CSR copy of a dense C when C is large and sparse (see
+    _unit_row_factor), else None.  A small C is not scanned; a large one is
+    scanned once, into a mask of its nonzeros."""
     if C.size < SPARSE_MIN_ENTRIES:
         return None
     mask = C != 0
@@ -157,10 +159,19 @@ def _sparse_copy(C: np.ndarray):
     return csr_matrix((C[mask], flat % n, indptr), shape=C.shape)
 
 
-def _unit_row_factor(C: np.ndarray, d: np.ndarray):
-    """(A, s, factor): A is C, or its CSR copy when C is large and sparse,
-    for the caller's products with C; s_i = 1 / ||c_i|| scales the rows of
-    C to unit length (a zero row keeps 1); factor is the GramFactor of
+def _is_sparse(C) -> bool:
+    """Whether C is a scipy.sparse matrix; a numpy array does not import
+    scipy.sparse to tell."""
+    if isinstance(C, np.ndarray):
+        return False
+    from scipy.sparse import issparse
+    return issparse(C)
+
+
+def _unit_row_factor(C, d: np.ndarray):
+    """(A, s, factor): A is C, or a CSR form of it (see below), for the
+    caller's products with C; s_i = 1 / ||c_i|| scales the rows of C to
+    unit length (a zero row keeps 1); factor is the GramFactor of
     S C C^T S, S = diag(s).  When the factor leaves a row out, raises
     InfeasibleSetError if the least-norm point C^T S lam,
     lam = factor.solve(S d), misses S C x = S d, the rows left out
@@ -169,31 +180,43 @@ def _unit_row_factor(C: np.ndarray, d: np.ndarray):
     keeps every row, C has full row rank and C x = d has a solution for
     every d, so there is nothing to check and no solve is made.
 
-    Two ways to form C C^T, chosen from C alone.  When C has at least
-    SPARSE_MIN_ENTRIES (2^20) entries and at most SPARSE_MAX_DENSITY (1%)
-    of them are nonzero, C is scanned once into a CSR copy and C C^T is
-    its sparse product with its transpose, made dense for the factor.
-    Every other C takes the dense C @ C.T, and a smaller one is not
-    scanned: on a row family's 160 x 400 stack, masking and counting its
-    nonzeros takes 19 us, against 0.24 ms for C @ C.T in an oracle call of
-    about 0.65 ms.  The crossover was measured on uniform random patterns
-    in 1024 x 1024, 1240 x 1600, 600 x 2048, 2048 x 600 and 2700 x 3600
+    C C^T is formed one of two ways.  A scipy.sparse C (the pencil stacks,
+    whose S export is CSR) is used as a CSR matrix A directly, and so is
+    the CSR copy of a dense C with at least SPARSE_MIN_ENTRIES (2^20)
+    entries of which at most SPARSE_MAX_DENSITY (1%) are nonzero.  Every
+    other C takes the dense C @ C.T, and a smaller one is not scanned: on
+    a row family's 160 x 400 stack, masking and counting its nonzeros
+    takes 19 us, against 0.24 ms for C @ C.T in an oracle call of about
+    0.65 ms.  The crossover was measured on uniform random patterns in
+    1024 x 1024, 1240 x 1600, 600 x 2048, 2048 x 600 and 2700 x 3600
     stacks (one thread): the CSR product broke even at 2.5-4% nonzero and
-    was 4-6x faster at 1%.  The pencil stacks are well below the cut: the
-    n = 20 chain's 1240 x 1600 stack is 0.32% nonzero, experiment 2's
-    2700 x 3600 0.07%.  The two products sum in another order, so their
-    factors differ by roundoff.
+    was 4-6x faster at 1%.  The two products sum in another order, so
+    their factors differ by roundoff.
+
+    On the CSR path the Gram matrix is scaled entry by stored entry, and
+    its structure gives h, the number of leading rows of nonzero length
+    with no stored entry left of the diagonal: mutually orthogonal rows,
+    whose factor GramFactor.of(G, h) takes in closed form.  On the n = 20
+    pencil chain that is S's 1 180 rows of 1 240, on experiment 2 2 670
+    of 2 700; a dense C keeps h = 0, one dpotrf on the whole G.
     """
-    A = _sparse_copy(C)
-    if A is None:
-        A, G = C, C @ C.T
-    else:
-        G = (A @ A.T).toarray()
-    lengths = np.sqrt(np.diag(G))
+    A = C.tocsr() if _is_sparse(C) else _sparse_copy(C)
+    G = C @ C.T if A is None else A @ A.T
+    lengths = np.sqrt(G.diagonal())
     s = 1.0 / np.where(lengths > 0.0, lengths, 1.0)
-    G *= s[:, None]
-    G *= s
-    factor = GramFactor.of(G)
+    if A is None:
+        A, h = C, 0
+        G *= s[:, None]
+        G *= s
+    else:
+        rows = np.repeat(np.arange(len(s)), np.diff(G.indptr))
+        G.data *= s[rows]
+        G.data *= s[G.indices]
+        prefix = lengths > 0.0
+        prefix[rows[G.indices < rows]] = False
+        h = len(s) if prefix.all() else int(np.argmin(prefix))
+        G = G.toarray()
+    factor = GramFactor.of(G, h)
     sd = s * d
     if factor.rank < factor.size and (
             norm(G @ factor.solve(sd) - sd) > TOL_FEAS * max(1.0, norm(sd))):

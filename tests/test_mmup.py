@@ -204,6 +204,7 @@ def test_pencil_data_shape_validation():
 
 def test_export_rows_s_n1():
     C, d = export_rows_s(1)
+    C = C.toarray()
     assert C.shape == (2, 4)
     # the two off-diagonal entries of the 2x2 variable are pinned to zero
     np.testing.assert_allclose(sorted(np.argmax(C, axis=1)), [1, 2])
@@ -240,6 +241,7 @@ def _rows_s_by_loop(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 20])
 def test_export_rows_s_matches_the_rows_built_one_at_a_time(n):
     C, d = export_rows_s(n)
+    C = C.toarray()
     np.testing.assert_array_equal(C, _rows_s_by_loop(n))
     np.testing.assert_array_equal(d, np.zeros(len(C)))
 
@@ -293,7 +295,7 @@ def test_problem_sets_export_same_rows():
     prob = small_problem(15)
     s_rows = prob.set_s.rows()
     v_rows = prob.set_v.rows()
-    np.testing.assert_array_equal(s_rows[0], export_rows_s(prob.n)[0])
+    np.testing.assert_array_equal(s_rows[0].toarray(), export_rows_s(prob.n)[0].toarray())
     np.testing.assert_array_equal(v_rows[0], export_rows_v(prob)[0])
     np.testing.assert_array_equal(v_rows[1], export_rows_v(prob)[1])
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -76,6 +78,21 @@ def test_stack_checks_the_cap_before_a_later_export_or_a_concatenation(monkeypat
     assert exported == []
 
 
+def test_stack_refuses_the_n45_chain_without_a_dense_export():
+    """S's export on the n = 45 chain has 6 030 rows, above the cap, and is
+    refused before V is exported; a dense S export of 6 030 x 8 100 took
+    391 MB before the cap could refuse it."""
+    sets = _chain_twin(45).sets
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="6030 rows after set 0, above the cap"):
+            stack(sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+
+
 def test_feasible_point_is_fixed():
     rng = np.random.default_rng(0)
     C = rng.standard_normal((3, 7))
@@ -134,7 +151,9 @@ def test_iterative_and_direct_projections_agree():
 
 def _min_norm_reference(x0, C, d):
     """The projection by a min-norm least-squares solve of the same
-    unit-row Gram system direct_projection factors."""
+    unit-row Gram system direct_projection factors, on a dense C."""
+    if scipy.sparse.issparse(C):
+        C = C.toarray()
     s = 1.0 / np.linalg.norm(C, axis=1)
     G = (s[:, None] * C) @ (s[:, None] * C).T
     return x0 - C.T @ (s * lstsq_min_norm(G, s * (C @ x0 - d)))
@@ -178,6 +197,27 @@ def _chain_twin(n=20):
     return build_problem(PencilData(4.0 * np.eye(n), 4.0 * np.eye(n), K), targets)
 
 
+def _prefix_stack(seed, zero_row=None, dependent=False, shift_row=None):
+    """(C, d, x0), C in CSR form in dim 120: 80 coordinate rows of random
+    lengths (mutually orthogonal), then 20 coupling rows with 10% Gaussian
+    entries.  zero_row empties one coordinate row; dependent appends a
+    copy of coordinate row 3 and a combination of two coupling rows, which
+    the factor leaves out.  shift_row moves the offset of that appended
+    row (-2 or -1) by 1e-3, which makes the system inconsistent."""
+    rng = np.random.default_rng([seed, 24])
+    C = np.zeros((100, 120))
+    C[np.arange(80), rng.permutation(120)[:80]] = rng.uniform(0.5, 2.0, 80)
+    C[80:] = np.where(rng.random((20, 120)) < 0.1, rng.standard_normal((20, 120)), 0.0)
+    if zero_row is not None:
+        C[zero_row] = 0.0
+    if dependent:
+        C = np.vstack([C, C[3], 2.0 * C[81] - C[95]])
+    d = C @ rng.standard_normal(120)
+    if shift_row is not None:
+        d[shift_row] += 1e-3
+    return scipy.sparse.csr_matrix(C), d, rng.standard_normal(120)
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _random_stack(0), id="full-rank"),
     pytest.param(lambda: _random_stack(1, "end"), id="duplicates-at-end"),
@@ -186,6 +226,7 @@ def _chain_twin(n=20):
     pytest.param(lambda: _pencil_stack(experiment1()[0]), id="experiment1"),
     pytest.param(lambda: _pencil_stack(experiment2()[0]), id="experiment2"),
     pytest.param(lambda: _pencil_stack(_chain_twin()), id="pencil-twin"),
+    pytest.param(lambda: _prefix_stack(1, dependent=True), id="dependent-coupling-rows"),
 ])
 def test_cholesky_oracle_matches_the_min_norm_solve(make):
     C, d, x0 = make()
@@ -355,7 +396,8 @@ def _sparse_stack(seed, shift=0.0):
 def test_the_sparse_gram_factors_like_the_dense_one(make, monkeypatch):
     C, d, _ = make()
     A, s, sparse = sets._unit_row_factor(C, d)
-    assert A is not C
+    assert scipy.sparse.issparse(A)
+    C = C.toarray() if scipy.sparse.issparse(C) else C
     monkeypatch.setattr(sets, "SPARSE_MIN_ENTRIES", np.iinfo(np.int64).max)  # no stack is large
     B, t, dense = sets._unit_row_factor(C, d)
     assert B is C
@@ -389,8 +431,12 @@ def test_the_dense_gram_is_c_times_its_transpose_bit_for_bit():
     np.testing.assert_array_equal(factor.L, GramFactor.of(G).L)
 
 
+def _dense(C, d, x0):
+    return C.toarray(), d, x0
+
+
 @pytest.mark.parametrize("make,sparse", [
-    pytest.param(lambda: _pencil_stack(_chain_twin()), True, id="pencil-twin"),
+    pytest.param(lambda: _dense(*_pencil_stack(_chain_twin())), True, id="pencil-twin"),
     pytest.param(lambda: _sparse_stack(2), True, id="sparse-with-duplicates"),
     pytest.param(lambda: _consistent(np.random.default_rng(14).standard_normal((160, 400)), 14),
                  False, id="gaussian-160x400"),
@@ -399,14 +445,48 @@ def test_the_dense_gram_is_c_times_its_transpose_bit_for_bit():
     pytest.param(lambda: _consistent(np.eye(1000)[:900], 16), False, id="small-identity"),
 ])
 def test_the_gram_path_follows_size_and_density(make, sparse, monkeypatch):
-    """Only a stack of at least 2^20 entries, at most 1% of them nonzero,
-    is copied to CSR; a smaller one takes the dense path however sparse it
+    """Only a dense stack of at least 2^20 entries, at most 1% of them
+    nonzero, is copied to CSR (the pencil twin's, made dense); a smaller one takes the dense path however sparse it
     is (900 x 1 000 identity rows, 0.1%), and a large dense one after its
     one scan."""
+    C, d, x0 = make()
     copies = []
     csr_matrix = scipy.sparse.csr_matrix
     monkeypatch.setattr(scipy.sparse, "csr_matrix",
                         lambda *a, **k: copies.append(1) or csr_matrix(*a, **k))
-    C, d, x0 = make()
     direct_projection(x0, (C, d))
     assert copies == ([1] if sparse else [])
+
+
+@pytest.mark.parametrize("make,h,left_out", [
+    pytest.param(lambda: _pencil_stack(_chain_twin()), 1180, 0, id="pencil-twin"),
+    pytest.param(lambda: _pencil_stack(experiment2()[0]), 2670, 0, id="experiment2"),
+    pytest.param(lambda: _prefix_stack(0, zero_row=40), 40, 1, id="prefix-ends-at-a-zero-row"),
+    pytest.param(lambda: _prefix_stack(1, dependent=True), 80, 2, id="dependent-coupling-rows"),
+])
+def test_the_block_factor_matches_the_whole_factor(make, h, left_out, monkeypatch):
+    """The CSR path hands GramFactor.of the h leading mutually orthogonal
+    rows; factoring that block in closed form keeps the same rows, and the
+    same L up to roundoff, as one dpotrf on the whole Gram matrix.  A zero
+    row ends the block; rows that repeat a block row or depend on other
+    coupling rows fail their pivot and leave through the append path."""
+    C, d, _ = make()
+    seen, of = [], GramFactor.of
+    monkeypatch.setattr(GramFactor, "of", lambda G, h=0: seen.append((G, h)) or of(G, h))
+    sets._unit_row_factor(C, d)
+    [(G, found)] = seen
+    assert found == h
+    block, whole = of(G, h), of(G)
+    r = whole.rank
+    assert (block.rank, block.size) == (r, whole.size) == (G.shape[0] - left_out, G.shape[0])
+    np.testing.assert_array_equal(block.kept[:r], whole.kept[:r])
+    # unit rows: every entry of L is at most 1, so atol is relative to the largest
+    np.testing.assert_allclose(block.L[:r, :r], whole.L[:r, :r], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("row", [pytest.param(-2, id="repeated-block-row"),
+                                 pytest.param(-1, id="dependent-coupling-row")])
+def test_an_inconsistent_coupling_row_raises_from_the_oracle(row):
+    C, d, x0 = _prefix_stack(2, dependent=True, shift_row=row)
+    with pytest.raises(InfeasibleSetError):
+        direct_projection(x0, (C, d))
