@@ -82,11 +82,11 @@ def test_stack_refuses_the_n45_chain_without_a_dense_export():
     """S's export on the n = 45 chain has 6 030 rows, above the cap, and is
     refused before V is exported; a dense S export of 6 030 x 8 100 took
     391 MB before the cap could refuse it."""
-    sets = _chain_twin(45).sets
+    family = _chain_twin(45).sets
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="6030 rows after set 0, above the cap"):
-            stack(sets)
+            stack(family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,9 +446,9 @@ def _dense(C, d, x0):
 ])
 def test_the_gram_path_follows_size_and_density(make, sparse, monkeypatch):
     """Only a dense stack of at least 2^20 entries, at most 1% of them
-    nonzero, is copied to CSR (the pencil twin's, made dense); a smaller one takes the dense path however sparse it
-    is (900 x 1 000 identity rows, 0.1%), and a large dense one after its
-    one scan."""
+    nonzero, is copied to CSR (the pencil twin's, made dense); a smaller
+    one takes the dense path however sparse it is (900 x 1 000 identity
+    rows, 0.1%), and a large dense one after its one scan."""
     C, d, x0 = make()
     copies = []
     csr_matrix = scipy.sparse.csr_matrix
@@ -472,7 +472,7 @@ def test_the_block_factor_matches_the_whole_factor(make, h, left_out, monkeypatc
     coupling rows fail their pivot and leave through the append path."""
     C, d, _ = make()
     seen, of = [], GramFactor.of
-    monkeypatch.setattr(GramFactor, "of", lambda G, h=0: seen.append((G, h)) or of(G, h))
+    monkeypatch.setattr(GramFactor, "of", lambda G, lead=0: seen.append((G, lead)) or of(G, lead))
     sets._unit_row_factor(C, d)
     [(G, found)] = seen
     assert found == h
