@@ -122,47 +122,71 @@ class GramFactor:
     one triangular solve: O(rank^2) per row, never a refactor.
     GramFactor.of(G) factors a whole G with one LAPACK call (dpotrf), keeps
     its leading rows up to the first pivot that fails the rank rule, and
-    appends the rows from there on one by one.  GramFactor.of(G, h), for a
-    G whose leading h x h block is diagonal with a positive diagonal (h
-    mutually orthogonal nonzero rows), takes that block's factor in closed
-    form, L11 = diag(sqrt(g_jj)) and L21 = G21 / sqrt(g), and runs dpotrf
-    only on the Schur complement G22 - L21 L21^T: O((k - h)^3 + (k - h)^2 h)
-    instead of O(k^3), with the same rank rule and the same dense L.  h = 0
-    is the single dpotrf above.
+    appends the rows from there on one by one.
+
+    GramFactor.of(G, h), for a G whose leading h x h block is diagonal with
+    a positive diagonal (h mutually orthogonal nonzero rows), takes one
+    block Cholesky step (Golub & Van Loan, Matrix Computations, 4.2) and
+    keeps it as data: L11 = diag(root), root = sqrt(g[:h]), as a vector;
+    L21 = G21 / root as a dense block with one row per kept coupling row;
+    and the dense triangle T of dpotrf on the Schur complement
+    G22 - L21 L21^T, for the k - h coupling rows only.  Only G's diagonal
+    and its rows h: are read, so G may be a scipy.sparse matrix there, and
+    no k x k array is made: O((k - h)^3 + (k - h)^2 h) time and
+    O((k - h) k) memory.  The rank rule is the same (a coupling row's pivot
+    is judged against its own g_jj, not the Schur diagonal), and so is the
+    append path after a failing pivot.  h = 0 is the single dpotrf above,
+    and then T is the whole L.  The L attribute reads the whole dense
+    triangle on the kept rows; for h > 0 it is assembled on each read.
     """
 
     def __init__(self):
-        self.L = np.zeros((8, 8), order="F")
+        self.h = 0
+        self.root = self.L21 = None  # the leading block's, when h > 0
+        self.T = np.zeros((8, 8), order="F")
         self.kept = np.zeros(8, dtype=np.intp)
         self.rank = 0
         self.size = 0
+
+    @property
+    def L(self) -> np.ndarray:
+        """The Cholesky factor of the kept rows as one dense triangle: T
+        itself when h = 0, else [[diag(root), 0], [L21, T]] on the kept
+        rows, assembled here."""
+        h = self.h
+        if not h:
+            return self.T
+        r = self.rank - h
+        L = np.zeros((h + r, h + r), order="F")
+        np.fill_diagonal(L[:h, :h], self.root)
+        L[h:, :h] = self.L21[:r]
+        L[h:, h:] = self.T[:r, :r]
+        return L
 
     @classmethod
     def of(cls, G, h: int = 0) -> "GramFactor":
         f = cls()
         k = G.shape[0]
+        if not k:
+            return f
+        g = G.diagonal()
+        rows = G[h:]
+        if not isinstance(rows, np.ndarray):
+            rows = rows.toarray()  # the coupling rows of a scipy.sparse G
+        done = 0  # leading coupling rows whose pivots dpotrf completed
         if h:
-            # the leading h x h block is diagonal and positive: one block
-            # Cholesky step (Golub & Van Loan, Matrix Computations, 4.2) in
-            # closed form, then dpotrf on that block's Schur complement
-            root = np.sqrt(G.diagonal()[:h])
-            L = np.zeros((k, k), order="F")
-            np.fill_diagonal(L[:h, :h], root)
-            L[h:, :h] = L21 = G[h:, :h] / root
-            done = k
-            if h < k:
-                L[h:, h:], info = lapack.dpotrf(G[h:, h:] - L21 @ L21.T, lower=1, clean=1)
-                if info:
-                    done = h + info - 1
-        elif k:
-            L, info = lapack.dpotrf(G, lower=1, clean=1)
-            done = info - 1 if info else k  # leading columns dpotrf completed
-        if k:
-            passed = L.diagonal()[:done] ** 2 > RCOND * G.diagonal()[:done]
-            j = done if passed.all() else int(np.argmin(passed))
-            f.L, f.kept, f.rank, f.size = L, np.arange(k), j, j
-        for i in range(f.size, k):
-            f.append(G[i, :i + 1])
+            f.h, f.root = h, np.sqrt(g[:h])
+            f.L21 = rows[:, :h] / f.root
+            f.T = np.zeros((0, 0), order="F")
+        if h < k:
+            f.T, info = lapack.dpotrf(rows[:, h:] - f.L21 @ f.L21.T if h else rows,
+                                      lower=1, clean=1)
+            done = info - 1 if info else k - h
+        passed = f.T.diagonal()[:done] ** 2 > RCOND * g[h:h + done]
+        j = h + (done if passed.all() else int(np.argmin(passed)))
+        f.kept, f.rank, f.size = np.arange(k), j, j
+        for i in range(j, k):
+            f.append(rows[i - h, :i + 1])
         return f
 
     def append(self, g) -> None:
@@ -170,29 +194,49 @@ class GramFactor:
         whose squared length is g[-1]."""
         if g.shape[0] != self.size + 1:
             raise ValueError(f"{g.shape[0]} Gram entries for row {self.size}")
-        k, r = self.size, self.rank
+        k, h = self.size, self.h
+        r = self.rank - h
         self.size += 1
-        row = lapack.dtrtrs(self.L[:r, :r], g[self.kept[:r]], lower=1)[0] if r else g[:0]
-        pivot = float(g[-1]) - float(np.dot(row, row))
+        coupling = g[self.kept[h:self.rank]]
+        pivot = float(g[-1])
+        if h:
+            lead = g[:h] / self.root
+            coupling = coupling - self.L21[:r] @ lead
+            pivot -= float(np.dot(lead, lead))
+        row = lapack.dtrtrs(self.T[:r, :r], coupling, lower=1)[0] if r else g[:0]
+        pivot -= float(np.dot(row, row))
         if pivot <= RCOND * float(g[-1]):
             return
-        if r == self.L.shape[0]:
-            grown = np.zeros((2 * r, 2 * r), order="F")
-            grown[:r, :r] = self.L
-            self.L = grown
-            self.kept = np.concatenate([self.kept, np.zeros(r, dtype=np.intp)])
-        self.L[r, :r] = row
-        self.L[r, r] = np.sqrt(pivot)
-        self.kept[r] = k
+        if r == self.T.shape[0]:
+            n = max(2 * r, 8)
+            grown = np.zeros((n, n), order="F")
+            grown[:r, :r] = self.T
+            self.T = grown
+            self.kept = np.concatenate([self.kept, np.zeros(n - r, dtype=np.intp)])
+            if h:
+                self.L21 = np.concatenate([self.L21, np.zeros((n - r, h))])
+        self.T[r, :r] = row
+        self.T[r, r] = np.sqrt(pivot)
+        if h:
+            self.L21[r] = lead
+        self.kept[self.rank] = k
         self.rank += 1
 
     def solve(self, rhs) -> np.ndarray:
-        """lambda with G lambda = rhs on the kept rows and 0 elsewhere."""
+        """lambda with G lambda = rhs on the kept rows and 0 elsewhere: for
+        h > 0, by blocks, in O(h (k - h) + (k - h)^2)."""
         lam = np.zeros(self.size)
-        r = self.rank
+        h = self.h
+        r = self.rank - h
+        kept = self.kept[h:self.rank]
+        b = rhs[kept]
+        if h:
+            y = rhs[:h] / self.root  # L11 y = b1
+            b = b - self.L21[:r] @ y
         if r:
-            kept = self.kept[:r]
-            lam[kept] = lapack.dpotrs(self.L[:r, :r], rhs[kept], lower=1)[0]
+            lam[kept] = lapack.dpotrs(self.T[:r, :r], b, lower=1)[0]
+        if h:
+            lam[:h] = (y - lam[kept] @ self.L21[:r]) / self.root  # L11^T x1 = y - L21^T x2
         return lam
 
 

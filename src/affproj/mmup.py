@@ -319,19 +319,26 @@ def export_rows_s(n: int):
     return csr_matrix((values, columns, indptr), shape=(k + t, m * m)), np.zeros(k + t)
 
 
-def export_rows_v(prob: MmupProblem) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-constraint form (C, d) of V on the flattened 2n x 2n variable.
+def export_rows_v(prob: MmupProblem):
+    """Row-constraint form (C, d) of V on the flattened 2n x 2n variable,
+    with C a scipy.sparse CSR matrix, like export_rows_s's.
 
     One row per entry (r, c) of the n x p constraint
-    A + Ihat^T X W = 0: coefficient W[t, c] on X[r, t] and X[n + r, t].
+    A + Ihat^T X W = 0: coefficient W[t, c] on X[r, t] and X[n + r, t],
+    that is, at columns r 2n + t and (n + r) 2n + t.  Zero entries of W
+    are not stored.
     """
+    from scipy.sparse import csr_matrix  # imported here, as in export_rows_s
     n, p = prob.n, prob.p
     m = 2 * n
-    C = np.zeros((n, p, m, m))      # row (r, c) viewed as a 2n x 2n matrix
-    r = np.arange(n)
-    C[r, :, r, :] = prob.w.T
-    C[r, :, n + r, :] = prob.w.T
-    return C.reshape(n * p, m * m), -prob.a.ravel()
+    # row (r, c) holds W[:, c] at X[r] and again at X[n + r], in column order
+    columns = (np.arange(n)[:, None, None, None] + np.array([0, n])[:, None]) * m + np.arange(m)
+    values = np.broadcast_to(prob.w.T[:, None, :], (n, p, 2, m))
+    columns = np.broadcast_to(columns, (n, p, 2, m))
+    C = csr_matrix((values.ravel(), columns.ravel(), 2 * m * np.arange(n * p + 1)),
+                   shape=(n * p, m * m))
+    C.eliminate_zeros()
+    return C, -prob.a.ravel()
 
 
 def extract_update(X) -> Tuple[np.ndarray, np.ndarray]:

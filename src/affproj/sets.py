@@ -8,7 +8,7 @@ identifies no hyperplane records none.  A row-constraint set and the
 oracle factor {x : C x = d} alike (_unit_row_factor): one GramFactor of
 the unit-row Gram matrix, whose rank rule leaves dependent rows out, with
 the Gram matrix formed from C in CSR form when C is sparse, and the
-factor of its leading mutually orthogonal rows taken in closed form.
+factor of its leading mutually orthogonal rows kept as a diagonal.
 """
 
 from __future__ import annotations
@@ -193,12 +193,15 @@ def _unit_row_factor(C, d: np.ndarray):
     was 4-6x faster at 1%.  The two products sum in another order, so
     their factors differ by roundoff.
 
-    On the CSR path the Gram matrix is scaled entry by stored entry, and
-    its structure gives h, the number of leading rows of nonzero length
-    with no stored entry left of the diagonal: mutually orthogonal rows,
-    whose factor GramFactor.of(G, h) takes in closed form.  On the n = 20
-    pencil chain that is S's 1 180 rows of 1 240, on experiment 2 2 670
-    of 2 700; a dense C keeps h = 0, one dpotrf on the whole G.
+    On the CSR path the Gram matrix stays CSR: it is scaled entry by
+    stored entry, and its structure gives h, the number of leading rows of
+    nonzero length with no stored entry left of the diagonal, mutually
+    orthogonal rows.  GramFactor.of(G, h) reads only G's diagonal and its
+    rows h: (made dense there), keeps the first h rows' factor as a
+    diagonal, and the consistency check is a sparse mat-vec with G.  On
+    the n = 20 pencil chain that is S's 1 180 rows of 1 240, on experiment
+    2 2 670 of 2 700, so no k x k array is made.  A dense C keeps h = 0,
+    one dpotrf on the whole G.
     """
     A = C.tocsr() if _is_sparse(C) else _sparse_copy(C)
     G = C @ C.T if A is None else A @ A.T
@@ -215,7 +218,6 @@ def _unit_row_factor(C, d: np.ndarray):
         prefix = lengths > 0.0
         prefix[rows[G.indices < rows]] = False
         h = len(s) if prefix.all() else int(np.argmin(prefix))
-        G = G.toarray()
     factor = GramFactor.of(G, h)
     sd = s * d
     if factor.rank < factor.size and (
@@ -230,7 +232,8 @@ class RowConstraintSet(AffineSet):
     The first projection or residual factors the system as the oracle
     does (_unit_row_factor, under GramFactor's rank rule), L L^T on the
     kept rows, and keeps B = S L^-T there (one triangular inverse,
-    dtrtri) with zero rows for the rows left out.  Each later call costs
+    dtrtri, of the whole dense L, which a factor with a diagonal block
+    assembles for it) with zero rows for the rows left out.  Each later call costs
     a few mat-vecs: with r = C x - d, P(x) = x - C^T B B^T r and the
     distance is ||B^T r||.  C and d are not copied and must not be
     mutated after the first call.  When the system is inconsistent,

@@ -93,7 +93,8 @@ def test_project_v_fixes_members():
 @pytest.mark.parametrize("seed,n", [(10, 2), (11, 4)])
 def test_project_v_matches_row_constraint_projection(seed, n):
     prob = small_problem(seed, n=n)
-    rc = RowConstraintSet(*export_rows_v(prob))
+    C, d = export_rows_v(prob)
+    rc = RowConstraintSet(C.toarray(), d)
     rng = np.random.default_rng(seed + 100)
     for _ in range(5):
         X = rng.standard_normal((2 * n, 2 * n))
@@ -274,7 +275,7 @@ def test_export_rows_v_matches_the_rows_built_one_at_a_time(n):
     prob = small_problem(18, n)
     C, d = export_rows_v(prob)
     loop_C, loop_d = _rows_v_by_loop(prob)
-    np.testing.assert_array_equal(C, loop_C)
+    np.testing.assert_array_equal(C.toarray(), loop_C)
     np.testing.assert_array_equal(d, loop_d)
 
 
@@ -296,7 +297,7 @@ def test_problem_sets_export_same_rows():
     s_rows = prob.set_s.rows()
     v_rows = prob.set_v.rows()
     np.testing.assert_array_equal(s_rows[0].toarray(), export_rows_s(prob.n)[0].toarray())
-    np.testing.assert_array_equal(v_rows[0], export_rows_v(prob)[0])
+    np.testing.assert_array_equal(v_rows[0].toarray(), export_rows_v(prob)[0].toarray())
     np.testing.assert_array_equal(v_rows[1], export_rows_v(prob)[1])
 
 

@@ -484,6 +484,40 @@ def test_the_block_factor_matches_the_whole_factor(make, h, left_out, monkeypatc
     np.testing.assert_allclose(block.L[:r, :r], whole.L[:r, :r], rtol=1e-12, atol=1e-12)
 
 
+def test_the_twin_oracle_call_makes_no_k_by_k_array():
+    """The twin's 1 180 orthogonal rows stay a diagonal block of the factor:
+    neither the 1 240 x 1 240 Gram matrix nor L (12 MB each) is made dense.
+    Stack and oracle call peaked at 25.5 MB traced when both were."""
+    prob = _chain_twin()
+    x0 = prob.flatten(prob.x0)
+    tracemalloc.start()
+    try:
+        direct_projection(x0, stack(prob.sets))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def test_a_small_stack_is_dense_even_with_a_sparse_export():
+    """Below SPARSE_MIN_ENTRIES entries the stack is dense: experiment 1's
+    52 x 64 stack, whose S export is CSR.  The twin's 1 240 x 1 600 stack
+    stays CSR."""
+    assert isinstance(stack(experiment1()[0].sets)[0], np.ndarray)
+    C, _ = stack(_chain_twin().sets)
+    assert scipy.sparse.issparse(C) and C.format == "csr"
+
+
+def test_a_large_sparse_row_set_projects_like_the_oracle():
+    """A dense-stored C large and sparse enough for the CSR path factors with
+    a leading orthogonal block (h = 4 of 803 rows here, three left out), so
+    the set's triangular inverse reads the L that the factor assembles."""
+    C, d, x0 = _sparse_stack(3)
+    assert sets._unit_row_factor(C, d)[2].h > 0
+    p = RowConstraintSet(C, d).project(x0)
+    assert norm(p - direct_projection(x0, (C, d))) <= 1e-12 * max(1.0, norm(x0))
+
+
 @pytest.mark.parametrize("row", [pytest.param(-2, id="repeated-block-row"),
                                  pytest.param(-1, id="dependent-coupling-row")])
 def test_an_inconsistent_coupling_row_raises_from_the_oracle(row):
