@@ -5,7 +5,7 @@ stacked into one big consistent system whose solution set is exactly
 the intersection; the projection of any point onto it then takes one
 Cholesky factor of the unit-row Gram matrix of C, the same factor a
 RowConstraintSet keeps (sets._unit_row_factor).  A stack with a sparse
-export (mmup's S and V are CSR) of at least 2^20 entries is CSR itself;
+export (mmup's S and V are CSR) of at least 2^15 entries is CSR itself;
 its Gram matrix is a sparse product that is never made dense, its leading
 mutually orthogonal rows stay a diagonal block of the factor, and only
 the rows that couple get a dense Cholesky factor, of their Schur
@@ -25,9 +25,16 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .linalg import as_point, gram_solve
-from .sets import SPARSE_MIN_ENTRIES, AffineSet, _is_sparse, _unit_row_factor
+from .sets import AffineSet, _is_sparse, _unit_row_factor
 
 MAX_ROWS = 5000
+
+# The fewest entries of a stack with a sparse export that stack() keeps
+# CSR.  Stack plus oracle call, dense against CSR, on spring chains of n
+# masses (about 12 n^4 entries; one thread): 0.41/0.61 ms at n = 6,
+# 0.62/0.63 ms at n = 7 (31 556 entries), 1.6/0.64 ms at n = 8 (53 248)
+# and 3.6/0.66 ms at n = 10; experiment 1 (3 328 entries) 0.24/0.9 ms.
+SPARSE_STACK_MIN_ENTRIES = 1 << 15
 
 
 class UnsupportedSetError(TypeError):
@@ -40,10 +47,11 @@ def stack(sets: Sequence[AffineSet]):
 
     The stacked solution set {x : C x = d} is exactly the intersection of
     the family.  C is a scipy.sparse CSR matrix when any export is sparse
-    (mmup's S and V) and the stack has at least SPARSE_MIN_ENTRIES (2^20)
-    entries, so a large sparse block is never made dense.  Otherwise C is
-    dense: on experiment 1's 52 x 64 stack the CSR stack and its solve took
-    0.71 ms, the solve on the dense stack 0.045 ms.
+    (mmup's S and V) and the stack has at least SPARSE_STACK_MIN_ENTRIES
+    (2^15) entries, so a large sparse block is never made dense.  Otherwise
+    C is dense, where scipy.sparse's per-call overhead outweighs the
+    arithmetic it saves: experiment 1's 52 x 64 stack and spring chains of
+    up to 7 masses.
     Raises UnsupportedSetError for sets without an export, and ValueError
     for an empty family, an export whose C and d disagree in length, and
     beyond the row cap.  The cap is checked after each export, so no set
@@ -78,7 +86,7 @@ def stack(sets: Sequence[AffineSet]):
                              f"of {MAX_ROWS}")
         blocks.append(C)
         rhs.append(d)
-    if sparse and total * dim >= SPARSE_MIN_ENTRIES:
+    if sparse and total * dim >= SPARSE_STACK_MIN_ENTRIES:
         from scipy.sparse import vstack
         return vstack(blocks, format="csr", dtype=float), np.concatenate(rhs)
     return np.vstack([C.toarray() if _is_sparse(C) else C for C in blocks]), np.concatenate(rhs)

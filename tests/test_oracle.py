@@ -499,13 +499,23 @@ def test_the_twin_oracle_call_makes_no_k_by_k_array():
     assert peak <= 4e6
 
 
-def test_a_small_stack_is_dense_even_with_a_sparse_export():
-    """Below SPARSE_MIN_ENTRIES entries the stack is dense: experiment 1's
-    52 x 64 stack, whose S export is CSR.  The twin's 1 240 x 1 600 stack
-    stays CSR."""
-    assert isinstance(stack(experiment1()[0].sets)[0], np.ndarray)
-    C, _ = stack(_chain_twin().sets)
-    assert scipy.sparse.issparse(C) and C.format == "csr"
+@pytest.mark.parametrize("family,sparse", [
+    pytest.param(lambda: experiment1()[0].sets, False, id="experiment1"),
+    pytest.param(lambda: _chain_twin(7).sets, False, id="chain-n7"),
+    pytest.param(lambda: _chain_twin(8).sets, True, id="chain-n8"),
+    pytest.param(lambda: _chain_twin().sets, True, id="chain-n20"),
+])
+def test_a_small_stack_is_dense_even_with_a_sparse_export(family, sparse):
+    """Below SPARSE_STACK_MIN_ENTRIES (2^15) entries the stack is dense,
+    although its S export is CSR: experiment 1's 52 x 64 stack and the
+    n = 7 chain's 161 x 196.  From the n = 8 chain's 208 x 256 up it is
+    CSR, where the CSR stack and oracle call are faster."""
+    C, _ = stack(family())
+    assert (C.shape[0] * C.shape[1] >= oracle.SPARSE_STACK_MIN_ENTRIES) == sparse
+    if sparse:
+        assert scipy.sparse.issparse(C) and C.format == "csr"
+    else:
+        assert isinstance(C, np.ndarray)
 
 
 def test_a_large_sparse_row_set_projects_like_the_oracle():
