@@ -25,7 +25,7 @@ class IterationRecord:
 
     index is the main-iteration number (records of the same iteration
     share it); phase is one of set-projection, hyperplane-projection,
-    m1-projection.  point is a copy of the sub-step's point; step
+    m1-projection.  point is the sub-step's point itself, read-only; step
     lengths, residuals and distances are computed from it by the reader
     that wants them (see SolveResult.step_norms and cli.write_trace_csv).
     """

@@ -37,7 +37,10 @@ class InfeasibleIntersectionError(RuntimeError):
 class AffineSet:
     """A closed affine subspace with an exact projection.
 
-    Subclasses set dim and implement project().  residual() is the
+    Subclasses set dim and implement project(), which returns a new array
+    (or its argument), never writes into its argument, and never returns a
+    buffer that a later call reuses: the solvers keep what it returns in
+    their traces, read-only, without copying it.  residual() is the
     distance ||x - project(x)||; a subclass may override it with a closed
     form that costs less than a projection.  Sets that can be written as
     {x : C x = d} also implement rows(), returning the pair (C, d), for
@@ -100,11 +103,12 @@ def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: Gram
     the feasibility check) and one factor solve, which goes through
     gram_solve.  Returns (projected point, coefficients), one lam_j per
     listed row, so callers can attribute the correction sum(lam_j * a_j)
-    term by term.  Raises InfeasibleIntersectionError when a listed row is
+    term by term; x itself, not a copy, when rows is empty.  Raises
+    InfeasibleIntersectionError when a listed row is
     missed by more than TOL_FEAS * max(1, max |b_j|).
     """
     if not len(rows):
-        return x.copy(), np.zeros(0)
+        return x, np.zeros(0)
     lam = gram_solve(factor, (b - A @ x)[rows])
     weights = np.zeros(A.shape[0])
     weights[rows] = lam

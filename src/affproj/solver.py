@@ -167,7 +167,8 @@ class SolveResult:
     completed iterations found, and correction i used the window
     generated[selected_history[i]] with weights coefficients[i], one per
     entry (none after a fallback to no correction).  selected_history[i].stop
-    counts the hyperplanes found through iteration i + 1.
+    counts the hyperplanes found through iteration i + 1.  solution is a
+    writable copy; every trace point is read-only.
     diagnostics.step_decompositions rebuilds the decompositions of
     condition (B') from these fields.  repr leaves out the trace and these
     three: with them, an 87-iteration alg1 run in dim 400 printed 2.05 MB."""
@@ -215,14 +216,18 @@ def _correct(x: np.ndarray, buffer: HyperplaneBuffer, recorded: bool, i: int,
     except InfeasibleIntersectionError:
         warnings.append(f"correction {i}: inconsistent intersection, "
                         "fell back to the uncorrected iterate")
-        return x.copy(), selected, np.zeros(0)
+        return x, selected, np.zeros(0)
     return p, selected, lam
 
 
 def _record(index, phase, set_index, point):
-    # A copy, not the point itself: keeping alg1's projections raised its max RSS
-    # on an n=100 pencil chain (dim 40 000) from 287 to 360 MB (heap fragmentation).
-    return IterationRecord(index=index, phase=phase, set_index=set_index, point=point.copy())
+    """The trace record of a sub-step, holding point itself, made read-only.
+
+    No copy: a fresh process's n = 100 pencil alg1 solve (dim 40 000)
+    reaches a max RSS of 287.3-287.4 MiB, against 288.0-288.2 MiB when each
+    point was copied (three processes each)."""
+    point.setflags(write=False)
+    return IterationRecord(index=index, phase=phase, set_index=set_index, point=point)
 
 
 def _first_step(sets, l, x):
@@ -279,11 +284,13 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
     in the lift set only in exact arithmetic, so no set is skipped for
     it.  The last check's projection is dropped.
 
-    The path's points are copied for the trace before the correction is
-    made, and the point on the hyperplane lives until the next one is
-    made.  At dim 40 000, copying after the correction raised the pencil
-    benchmark's peak RSS from about 345 to 355 MB, and freeing that point
-    at once raised alg2's max RSS from 110 to 120 MB (heap fragmentation).
+    The trace holds the points themselves, not copies: each projection,
+    the lift and each corrected iterate (the uncorrected one after a
+    fallback) is recorded as made, and _record makes it read-only, since
+    no sub-step writes to a point once made.  The solution is copied once,
+    at the end, so the caller owns a writable array.  x0 is the solver's
+    own copy of the start; it stays writable unless a set's project
+    returns it unchanged.
     """
     if not sets:
         raise ValueError("the family has no sets")
@@ -295,7 +302,7 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
     trace, warnings, selected_history, coefficients = [], [], [], []
     i = substeps = 0
     reason = "max-iter"
-    x, ahead = start.copy(), None  # ahead: the next iteration's _first_step, from _check
+    x, ahead = start, None  # ahead: the next iteration's _first_step, from _check
     try:
         for j, s in enumerate(sets):
             _finite(j, s.residual(start))
@@ -319,13 +326,13 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
         l = cycle[i % len(cycle)]
         noted = len(warnings)
         try:
-            p, d, _ = ahead or _first_step(sets, l, x)
+            p, d, dn = ahead or _first_step(sets, l, x)
             steps = path(sets, l, p)
             records = [_record(i + 1, *s) for s in steps]
             xn = steps[-1][2]
             if support is not None:
                 normal, offset = support(x, steps, d)
-                found = norm(normal) > ROUNDOFF_STEP * norm(x)
+                found = (dn if normal is d else norm(normal)) > ROUNDOFF_STEP * norm(x)
                 if found:
                     buffer.append(Hyperplane(normal, offset), l)
                 xn, selected, lam = _correct(xn, buffer, found, i, warnings)
@@ -348,7 +355,7 @@ def _drive(sets, x0, stop, path, support=None, policy=None, lift=None) -> SolveR
             trace.append(_record(i, "hyperplane-projection", None, x))
         if met:
             reason = "residual-met"
-    return SolveResult(solution=x, iterations=i, trace=trace,
+    return SolveResult(solution=x.copy(), iterations=i, trace=trace,
                        converged=reason == "residual-met", stop_reason=reason, x0=start,
                        warnings=warnings,
                        # drops the hyperplane of an iteration that failed

@@ -508,13 +508,16 @@ def test_an_empty_family_raises(runner):
 
 
 class ProjectionCountingSet(RowConstraintSet):
+    """A row set that appends every array its project returns to calls."""
+
     def __init__(self, C, d, calls):
         super().__init__(C, d)
         self.calls = calls
 
     def project(self, x):
-        self.calls.append(1)
-        return super().project(x)
+        p = super().project(x)
+        self.calls.append(p)
+        return p
 
 
 @pytest.mark.parametrize("q", [2.5, True, np.float64(3.0), "3"])
@@ -1106,3 +1109,49 @@ def test_early_exit_check_matches_the_full_check(family, budget):
         assert r.solution.tobytes() == ref.solution.tobytes()
         assert ((r.iterations, r.stop_reason, r.warnings)
                 == (ref.iterations, ref.stop_reason, ref.warnings))
+
+
+# -- the trace holds the solver's own points, read-only ----------------------
+
+RUNS = [(run_map, {}), (run_alg1, {"policy": LastQ(3)}), (run_alg1, {"policy": All()}),
+        (run_alg2, {"policy": LastQ(3)}), (run_alg2, {"policy": All()})]
+RUN_IDS = ["map", "alg1-LastQ3", "alg1-All", "alg2-LastQ3", "alg2-All"]
+
+
+@pytest.mark.parametrize("runner,kwargs", RUNS, ids=RUN_IDS)
+def test_every_trace_point_is_read_only(runner, kwargs):
+    sets, x0, _ = random_family(5)
+    r = runner(sets, x0, stop=StoppingRule(1e-10, 300), **kwargs)
+    assert len(r.trace) > 3
+    for rec in r.trace:
+        assert not rec.point.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rec.point[0] += 1.0
+
+
+@pytest.mark.parametrize("runner,kwargs", RUNS, ids=RUN_IDS)
+def test_a_projection_is_recorded_without_a_copy(runner, kwargs):
+    """Each set-projection and m1-projection record holds the very array
+    that a set's project returned."""
+    family, x0, _ = random_family(5)
+    returned = []
+    sets = [ProjectionCountingSet(s.C, s.d, returned) for s in family]
+    r = runner(sets, x0, stop=StoppingRule(1e-10, 300), **kwargs)
+    projected = [rec for rec in r.trace if rec.phase != "hyperplane-projection"]
+    assert len(projected) > 3
+    ids = {id(p) for p in returned}
+    for rec in projected:
+        assert id(rec.point) in ids
+
+
+@pytest.mark.parametrize("runner,kwargs", RUNS, ids=RUN_IDS)
+def test_the_solution_is_a_writable_copy(runner, kwargs):
+    sets, x0, _ = random_family(5)
+    r = runner(sets, x0, stop=StoppingRule(1e-10, 300), **kwargs)
+    assert r.solution.flags.writeable and r.x0.flags.writeable
+    last = r.trace[-1].point
+    assert not np.shares_memory(r.solution, last)
+    np.testing.assert_array_equal(r.solution, last)
+    before = last.copy()
+    r.solution[:] = 0.0
+    np.testing.assert_array_equal(r.trace[-1].point, before)
