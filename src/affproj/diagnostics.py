@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import SpanBasis, as_point, norm
+from .linalg import SpanBasis, as_point, norm, window_residual
 
 
 @dataclass
@@ -86,9 +86,9 @@ def count_fejer_violations(points: Sequence[np.ndarray], m):
 def check_condition_b(x0, x_i, normals: Sequence[np.ndarray]) -> float:
     """Distance of x0 - x_i from the span of the given normals.
 
-    Zero normals are ignored; the others go into one SpanBasis (see
-    linalg.SpanBasis for its rank rule), the same routine condition_report
-    extends window by window.  Zero (to roundoff) certifies the span
+    Zero normals are ignored; the others are measured by one pivoted QR
+    (linalg.window_residual, with SpanBasis's rank rule), as condition_report
+    measures a sliding window.  Zero (to roundoff) certifies the span
     condition at this iteration.  Raises ValueError when x_i or a normal
     differs from x0 in dimension.
     """
@@ -101,9 +101,7 @@ def check_condition_b(x0, x_i, normals: Sequence[np.ndarray]) -> float:
         if a.shape[0] != dim:
             raise ValueError(f"x0 has dimension {dim}, a normal has dimension {a.shape[0]}")
     normals = [a for a in normals if np.any(a)]
-    basis = SpanBasis(dim, len(normals))
-    basis.extend(normals)
-    return basis.residual(x0 - x_i)
+    return window_residual(np.vstack(normals + [x0 - x_i]), len(normals))
 
 
 def _span_start(result) -> np.ndarray:
@@ -114,32 +112,44 @@ def _span_start(result) -> np.ndarray:
 
 
 def _corrections(result):
-    """For each correction of an accelerated run: a SpanBasis whose rows are
-    its window's normals, in window order, and its StepDecomposition under
-    run_alg1 (None under run_alg2).
+    """For each correction of an accelerated run: its span residual, the
+    distance of start - x_i from the span of its window's normals (start as
+    in _span_start, x_i the correction's point), and its StepDecomposition
+    under run_alg1 (None under run_alg2).
 
-    One basis serves the whole pass and is reused, so read it before taking
-    the next correction.  A window that starts where the previous one did
-    (every window under All(), fallbacks included) adds only its new rows.
-    Any other window (under LastQ) resets the basis and adds all of its rows.
+    A window that starts at generated[0] (every window under All(),
+    fallbacks included, and the first q - 1 under LastQ(q)) grows one
+    SpanBasis by its new rows only.  Any other window (a LastQ window that
+    has slid) keeps no basis: its rows and start - x_i are copied into one
+    work array, and linalg.window_residual measures them with one pivoted
+    QR whose reflectors are applied to the displacement.
     """
     history, generated = result.selected_history, result.generated
     if not history:
         return
-    basis = SpanBasis(result.x0.shape[0], max(len(window) for window in history))
+    dim, q = result.x0.shape[0], max(len(window) for window in history)
+    basis, work = SpanBasis(dim, q), np.empty((q + 1, dim))
+    start = _span_start(result)
+    points = [r.point for r in result.trace if r.phase == "hyperplane-projection"]
     alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
     steps = result.step_norms() if alg1 else None
     owners = np.array([k for k, _ in generated], dtype=np.intp)
-    start = stop = 0  # the previous window's bounds
-    for i, window in enumerate(history):
+    stop = 0  # the previous window's
+    for i, (window, point) in enumerate(zip(history, points)):
         own = window.stop > stop  # iteration i + 1 found generated[window.stop - 1]
-        if window.start != start:
-            basis.reset()
-            start = stop = window.start
-        basis.extend([generated[j][1].normal for j in range(stop, window.stop)])
-        stop = window.stop
-        yield basis, (_alg1_decomposition(result, steps, i, own, owners[window.start:stop],
-                                          basis.rows[:basis.size]) if alg1 else None)
+        stop, k = window.stop, len(window)
+        if window.start:
+            for j, w in enumerate(window):
+                work[j] = generated[w][1].normal
+            np.subtract(start, point, out=work[k])
+            normals = work[:k]
+        else:
+            basis.extend([generated[j][1].normal for j in range(basis.size, stop)])
+            normals = basis.rows[:k]
+        # the decomposition reads the normals before window_residual overwrites them
+        d = (_alg1_decomposition(result, steps, i, own, owners[window.start:stop], normals)
+             if alg1 else None)
+        yield (window_residual(work, k) if window.start else basis.residual(start - point)), d
 
 
 def _alg1_decomposition(result, steps, i: int, own: bool, owners, normals) -> StepDecomposition:
@@ -208,19 +218,17 @@ def condition_report(result, m: Optional[np.ndarray] = None) -> ConditionReport:
     (the accelerated schemes); for plain alternating projections the
     series is empty.  Each is the distance of start - x_i from the span of
     its window's normals, where start is x0 under run_alg1 and the lifted
-    start under run_alg2, whose iterations begin there.  One pass keeps one
-    SpanBasis (see _corrections): a correction costs O(n rank) under All()
-    and O(q^2 n) under LastQ(q), in dimension n.
+    start under run_alg2, whose iterations begin there.  One pass over the
+    corrections (see _corrections) costs O(n rank) per correction under
+    All() and O(q^2 n) under LastQ(q), in dimension n.
     """
     if m is not None:
         viol, worst = count_fejer_violations(result.points(), m)
     else:
         viol, worst = 0, 0.0
-    start = _span_start(result)
-    main_points = [r.point for r in result.trace if r.phase == "hyperplane-projection"]
     cond_b, decomps = [], [] if result.selected_history else step_decompositions(result)
-    for point, (basis, d) in zip(main_points, _corrections(result)):
-        cond_b.append(basis.residual(start - point))
+    for residual, d in _corrections(result):
+        cond_b.append(residual)
         if d is not None:
             decomps.append(d)
     return ConditionReport(

@@ -29,8 +29,9 @@ TOL_FEAS = 1e-8
 
 # Relative rank cutoff, used three ways: lstsq_min_norm and build_problem's
 # W^T W check cut singular values at RCOND * sigma_max; GramFactor cuts a
-# pivot at RCOND * ||a_j||^2, the row's own squared length; SpanBasis cuts
-# the singular values of a block of new rows at RCOND times the longest row.
+# pivot at RCOND * ||a_j||^2, the row's own squared length; SpanBasis and
+# window_residual cut the singular values of a block of rows at RCOND times
+# the longest row (_kept_directions).
 RCOND = 1e-12
 
 
@@ -240,11 +241,23 @@ class GramFactor:
         return lam
 
 
+def _kept_directions(qr: np.ndarray, m: int, top: float):
+    """The rank rule of a pivoted QR's R (the first m rows of qr): (None, m)
+    when every |R_jj| is above RCOND * top, else (turn, keep), R's left
+    singular vectors and the number of singular values above that cut.
+    The rows factored are W with W^T = Q R P^T, so W's singular directions
+    are Q times R's."""
+    if np.abs(qr.diagonal()).min() > RCOND * top:
+        return None, m
+    turn, sv = np.linalg.svd(np.triu(qr[:m]))[:2]
+    return turn, int(np.count_nonzero(sv > RCOND * top))
+
+
 class SpanBasis:
     """An orthonormal basis Q of the span of a family of rows that grows.
 
-    rows[:size] are the rows added since the last reset, in order, and the
-    rows of Q[:rank] are an orthonormal basis of their span.  extend
+    rows[:size] are the rows added so far, in order, and the rows of
+    Q[:rank] are an orthonormal basis of their span.  extend
     orthogonalises its new rows against Q twice (classical Gram-Schmidt,
     CGS2) and factors what is left with one pivoted QR (LAPACK dgeqp3, then
     dorgqr for its Q factor).  When some |R_jj| is at most RCOND times the
@@ -259,20 +272,17 @@ class SpanBasis:
     measures the span for condition (B').  A kept direction is never
     refactored, so k new rows in dimension n cost O(k n rank) for the
     projections plus O(k^2 n) for their QR, whatever the rows before.
+    A family that does not grow, such as a sliding window, is measured by
+    window_residual instead, with no basis.
 
-    SpanBasis(dim, capacity) holds at most capacity rows between resets.
+    SpanBasis(dim, capacity) holds at most capacity rows.
     """
 
     def __init__(self, dim: int, capacity: int):
         self.rows = np.empty((capacity, dim))
         self.Q = np.empty((capacity, dim))  # rows past rank: the QR's workspace
         self.size = self.rank = 0
-        self.top = 0.0  # longest row since the last reset
-
-    def reset(self) -> None:
-        """Forget every row."""
-        self.size = self.rank = 0
-        self.top = 0.0
+        self.top = 0.0  # longest row so far
 
     def extend(self, new_rows: Sequence[np.ndarray]) -> None:
         """Add the k rows new_rows, each of length dim."""
@@ -295,12 +305,8 @@ class SpanBasis:
             for _ in range(2):
                 W -= (W @ Q.T) @ Q
         qr, _, tau, _, _ = lapack.dgeqp3(W.T, overwrite_a=1)
-        m = keep = tau.shape[0]
-        turn = None
-        if np.abs(qr.diagonal()).min() <= RCOND * self.top:
-            # W^T = Q R P^T, so its singular directions are Q times R's
-            turn, sv = np.linalg.svd(np.triu(qr[:m]))[:2]
-            keep = int(np.count_nonzero(sv > RCOND * self.top))
+        m = tau.shape[0]
+        turn, keep = _kept_directions(qr, m, self.top)
         if keep:
             lapack.dorgqr(qr[:, :m], tau, overwrite_a=1)
             if turn is not None:
@@ -311,6 +317,30 @@ class SpanBasis:
         """Distance of v from the span of the rows: ||v - Q^T (Q v)||."""
         Q = self.Q[:self.rank]
         return norm(v - (Q @ v) @ Q)
+
+
+def window_residual(work: np.ndarray, k: int) -> float:
+    """Distance of v = work[k] from the span of the rows work[:k], which
+    are overwritten.
+
+    One pivoted QR of the rows (dgeqp3, the factorisation SpanBasis.extend
+    makes of a first block of rows) and its m = min(k, dim) reflectors
+    applied to v (dormqr), with no basis and no explicit Q: the residual is
+    the tail (Q^T v)[m:] (Golub & Van Loan, Matrix Computations, 5.2), plus,
+    when some |R_jj| is at most RCOND times the longest row |R_00|, the part
+    of (Q^T v)[:m] along R's singular directions at or below that cut.
+    O(k^2 n) in dimension n, and O(n) for k = 0, where it is ||v||.
+    """
+    if not k:
+        return norm(work[k])
+    qr, _, tau, _, _ = lapack.dgeqp3(work[:k].T, overwrite_a=1)
+    m = tau.shape[0]
+    turn, keep = _kept_directions(qr, m, abs(qr[0, 0]))
+    y = lapack.dormqr("L", "T", qr[:, :m], tau, work[k:k + 1].T, 1, overwrite_c=1)[0][:, 0]
+    if turn is None:
+        return norm(y[m:])
+    cut = turn[:, keep:].T @ y[:m]
+    return math.sqrt(y[m:].dot(y[m:]) + cut.dot(cut))
 
 
 def gram_solve(factor: GramFactor, rhs) -> np.ndarray:

@@ -68,6 +68,12 @@ def test_condition_b_ignores_zero_normals():
     assert res == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("normals", [[], [np.zeros(2)]], ids=["none", "zero"])
+def test_condition_b_without_a_normal_is_the_whole_distance(normals):
+    x0 = np.array([3.0, 4.0])
+    assert check_condition_b(x0, np.zeros(2), normals) == 5.0
+
+
 def test_condition_b_small_under_full_window():
     sets, x0, _ = random_family(2)
     r = run_alg1(sets, x0, policy=All(), stop=StoppingRule(1e-10, 400))
@@ -227,19 +233,47 @@ def span_start(r):
     (run_alg2, All(), StoppingRule(1e-10, 400)),
 ])
 def test_report_span_residuals_match_check_condition_b(runner, policy, stop):
-    """The report extends one basis window by window, where
-    check_condition_b factors each window afresh, so the two agree to
-    roundoff, not bit for bit."""
+    """The report extends one basis window by window while its windows
+    start at generated[0], where check_condition_b factors each window
+    afresh, so the two agree to roundoff, not bit for bit."""
     sets, x0, member = random_family(10)
     r = runner(sets, x0, policy=policy, stop=stop)
+    assert_match_check_condition_b(r, condition_report(r, member).condition_b_residuals)
+
+
+def assert_match_check_condition_b(r, got):
+    """got, a report's span residuals of r, within 1e-10 max(1, ||start - x_i||)
+    of check_condition_b on each window."""
     start = span_start(r)
     points = [t.point for t in r.trace if t.phase == "hyperplane-projection"]
     expected = [check_condition_b(start, p, [r.generated[j][1].normal for j in sel])
                 for p, sel in zip(points, r.selected_history)]
-    got = condition_report(r, member).condition_b_residuals
     assert len(got) == len(expected) == r.iterations
     for g, e, p in zip(got, expected, points):
         assert abs(g - e) <= 1e-10 * max(1.0, norm(start - p))
+
+
+@pytest.mark.parametrize("runner", [run_alg1, run_alg2])
+def test_a_sliding_window_is_measured_without_a_span_basis(monkeypatch, runner):
+    """Under LastQ(3) only the windows that start at generated[0] grow the
+    report's SpanBasis, by their new rows; a window that has slid is
+    measured from its own rows, with no basis."""
+    sets, x0, member = random_family(10)
+    r = runner(sets, x0, policy=LastQ(3), stop=StoppingRule(1e-10, 400))
+    assert any(w.start for w in r.selected_history)
+    prefix = max(w.stop for w in r.selected_history if not w.start)
+    extended = []
+    extend = linalg.SpanBasis.extend
+
+    def spy(self, rows):
+        extended.extend(rows)
+        return extend(self, rows)
+
+    monkeypatch.setattr(linalg.SpanBasis, "extend", spy)
+    got = condition_report(r, member).condition_b_residuals
+    np.testing.assert_array_equal(np.reshape(extended, (-1, x0.shape[0])),
+                                  [h.normal for _, h in r.generated[:prefix]])
+    assert_match_check_condition_b(r, got)
 
 
 # -- span residuals against the per-window least-squares reference ----------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affproj.linalg import (GramFactor, SpanBasis, as_matrix, as_point, gram_solve, inner,
-                            lstsq_min_norm, norm)
+                            lstsq_min_norm, norm, window_residual)
 
 
 def test_inner_orthogonal_vectors():
@@ -303,8 +303,17 @@ def test_span_basis_grown_row_by_row_matches_one_extend():
         assert abs(b.residual(v) - ref) <= 1e-12 * norm(v)
     with pytest.raises(ValueError, match="capacity"):
         grown.extend([A[0]])
-    grown.reset()
-    assert grown.size == grown.rank == 0 and grown.residual(v) == norm(v)
+
+
+def clear_rank_case():
+    """The rows and v of the test below: singular values 1, 1, 2.0e-12 and
+    6.6e-13, and a least-squares residual of 0.9526."""
+    A = np.zeros((4, 4))
+    A[0, 0] = A[1, 1] = 1.0
+    A[2, 2] = 1.5e-12
+    A[3, 2:] = [1.16e-12, 0.87e-12]
+    turn, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
+    return A @ turn.T, turn[:, 3]
 
 
 def test_span_basis_keeps_the_leading_singular_direction_past_the_clear_rank():
@@ -315,14 +324,45 @@ def test_span_basis_keeps_the_leading_singular_direction_past_the_clear_rank():
     row the residual of v read 1.0, against 0.9526.  The tolerance is above
     the roundoff in a direction that sits 1.3e-12 from the next one
     (eps / 1.3e-12, about 2e-4)."""
-    A = np.zeros((4, 4))
-    A[0, 0] = A[1, 1] = 1.0
-    A[2, 2] = 1.5e-12
-    A[3, 2:] = [1.16e-12, 0.87e-12]
-    turn, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
-    A, v = A @ turn.T, turn[:, 3]
+    A, v = clear_rank_case()
     basis = SpanBasis(4, 4)
     basis.extend(list(A))
     ref = norm(v - A.T @ lstsq_min_norm(A.T, v))
     assert basis.rank == 3 and abs(ref - 0.9526) < 1e-4
     assert abs(basis.residual(v) - ref) <= 1e-3
+
+
+def window_case(shape):
+    """(rows, v) of a window shape for window_residual."""
+    rng = np.random.default_rng(5)
+    if shape == "gaussian":
+        return rng.standard_normal((5, 30)), rng.standard_normal(30)
+    if shape == "wide":  # more rows than dimensions: min(k, dim) reflectors
+        return rng.standard_normal((6, 4)), rng.standard_normal(4)
+    if shape == "repeats":
+        A = rng.standard_normal((3, 9))
+        return np.vstack([A, A[0], A[2], A[0]]), rng.standard_normal(9)
+    if shape == "one row":
+        return rng.standard_normal((1, 7)), rng.standard_normal(7)
+    if shape == "clear rank":
+        return clear_rank_case()
+    return np.zeros((0, 6)), rng.standard_normal(6)  # empty
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "wide", "repeats", "one row", "clear rank",
+                                   "empty"])
+def test_window_residual_matches_a_span_basis_on_the_same_rows(shape):
+    """One pivoted QR applied to v measures the span that a SpanBasis of
+    the same rows keeps, its rank rule included."""
+    A, v = window_case(shape)
+    k, dim = A.shape
+    basis = SpanBasis(dim, max(k, 1))
+    basis.extend(list(A))
+    work = np.full((k + 2, dim), np.nan)  # a spare row, never read
+    work[:k], work[k] = A, v
+    got = window_residual(work, k)
+    assert abs(got - basis.residual(v)) <= 1e-12 * norm(v)
+    if shape == "empty":
+        assert got == norm(v)
+    if shape == "clear rank":
+        assert basis.rank == 3 and abs(got - 0.9526) < 1e-4

@@ -781,6 +781,11 @@ WINDOW_KINDS = ("fresh", "none", "repeat", "near")
 # two near copies of a0, then a fresh normal 0.077 rad from a0: the reference
 # splits a0's weight three ways (see assert_matches_stacked_reference)
 @example(All(), 3, ["fresh", "none", "none", "near", "near", "fresh"], 18670871, 0.0, 1e-3)
+# three near copies of a0: the points differ by 2.55e-9 against a near-pair
+# bound of 1.65e-9, a draw that once failed at random
+@example(All(), 3, ["fresh", "none", "none", "near", "near", "near", "none", "fresh", "near"],
+         853, 0.0, 1e-3).xfail(raises=AssertionError,
+                               reason="ROADMAP item 5: the near-pair split")
 def test_stored_factor_correction_matches_stacked_reference(policy, dim, kinds, seed, length,
                                                             scale):
     """Every hyperplane passes through one point z, and the buffer is
