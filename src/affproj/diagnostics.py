@@ -111,18 +111,19 @@ def _span_start(result) -> np.ndarray:
     return result.trace[0].point if lifted else as_point(result.x0)
 
 
-def _corrections(result):
+def _corrections(result, measure: bool = True):
     """For each correction of an accelerated run: its span residual, the
     distance of start - x_i from the span of its window's normals (start as
-    in _span_start, x_i the correction's point), and its StepDecomposition
-    under run_alg1 (None under run_alg2).
+    in _span_start, x_i the correction's point), or None when not measure,
+    and its StepDecomposition under run_alg1 (None under run_alg2).
 
-    A window that starts at generated[0] (every window under All(),
-    fallbacks included, and the first q - 1 under LastQ(q)) grows one
-    SpanBasis by its new rows only.  Any other window (a LastQ window that
-    has slid) keeps no basis: its rows and start - x_i are copied into one
-    work array, and linalg.window_residual measures them with one pivoted
-    QR whose reflectors are applied to the displacement.
+    When measuring, a window that starts at generated[0] (every window
+    under All(), fallbacks included, and the first q - 1 under LastQ(q))
+    grows one SpanBasis by its new rows only.  Any other window (a LastQ
+    window that has slid), and every window when not measuring, keeps no
+    basis: its rows are copied into one work array.  A slid window's
+    residual is then measured by linalg.window_residual, with one pivoted
+    QR whose reflectors are applied to start - x_i, copied in after them.
     """
     history, generated = result.selected_history, result.generated
     if not history:
@@ -132,24 +133,32 @@ def _corrections(result):
     start = _span_start(result)
     points = [r.point for r in result.trace if r.phase == "hyperplane-projection"]
     alg1 = result.trace[0].phase == "set-projection"  # run_alg2 starts with its lift
+    if not (alg1 or measure):
+        return
     steps = result.step_norms() if alg1 else None
     owners = np.array([k for k, _ in generated], dtype=np.intp)
     stop = 0  # the previous window's
     for i, (window, point) in enumerate(zip(history, points)):
         own = window.stop > stop  # iteration i + 1 found generated[window.stop - 1]
         stop, k = window.stop, len(window)
-        if window.start:
-            for j, w in enumerate(window):
-                work[j] = generated[w][1].normal
-            np.subtract(start, point, out=work[k])
-            normals = work[:k]
-        else:
+        grows = measure and not window.start
+        if grows:
             basis.extend([generated[j][1].normal for j in range(basis.size, stop)])
             normals = basis.rows[:k]
+        else:
+            for j, w in enumerate(window):
+                work[j] = generated[w][1].normal
+            normals = work[:k]
         # the decomposition reads the normals before window_residual overwrites them
         d = (_alg1_decomposition(result, steps, i, own, owners[window.start:stop], normals)
              if alg1 else None)
-        yield (window_residual(work, k) if window.start else basis.residual(start - point)), d
+        if grows:
+            yield basis.residual(start - point), d
+        elif measure:
+            np.subtract(start, point, out=work[k])
+            yield window_residual(work, k), d
+        else:
+            yield None, d
 
 
 def _alg1_decomposition(result, steps, i: int, own: bool, owners, normals) -> StepDecomposition:
@@ -180,7 +189,7 @@ def step_decompositions(result) -> List[StepDecomposition]:
     """
     if all(r.phase == "set-projection" for r in result.trace):  # run_map
         return [StepDecomposition(components=s * s, steps=s * s) for s in result.step_norms()]
-    return [d for _, d in _corrections(result) if d is not None]
+    return [d for _, d in _corrections(result, measure=False) if d is not None]
 
 
 def check_b_prime(decompositions) -> List[float]:

@@ -35,13 +35,15 @@ TOL_FEAS = 1e-8
 RCOND = 1e-12
 
 
-def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
-    """v, or ValueError naming what when an entry of v is NaN or infinite:
-    one dot product, and a full scan only when that dot is not finite."""
+def _check_finite(v: np.ndarray, what: str) -> float:
+    """The sum of the squares of v's entries, or ValueError naming what when
+    an entry of v is NaN or infinite: one dot product, and a full scan only
+    when that dot is not finite."""
     flat = v.ravel(order="K")
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+    square = flat.dot(flat)
+    if not math.isfinite(square) and not np.isfinite(flat).all():
         raise ValueError(f"{what} contains non-finite entries")
-    return v
+    return square
 
 
 def as_point(x) -> np.ndarray:
@@ -50,7 +52,8 @@ def as_point(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         v = v.reshape(-1)
-    return _check_finite(v, "point")
+    _check_finite(v, "point")
+    return v
 
 
 def as_matrix(a, what: str = "matrix") -> np.ndarray:
@@ -59,7 +62,8 @@ def as_matrix(a, what: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    return _check_finite(m, what)
+    _check_finite(m, what)
+    return m
 
 
 def inner(x, y) -> float:
@@ -93,6 +97,13 @@ def lstsq_min_norm(C, d) -> np.ndarray:
     return x
 
 
+# The empty factor's triangle and kept rows, shared and read-only: append
+# replaces them with arrays of its own before it stores a row.
+_NO_TRIANGLE = np.zeros((0, 0), order="F")
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_TRIANGLE.flags.writeable = _NO_ROWS.flags.writeable = False
+
+
 class GramFactor:
     """Cholesky factor of the Gram matrix G (G_jk = <a_j, a_k>) of k rows,
     with the rows that add no rank left out: L L^T = G[kept][:, kept].
@@ -119,11 +130,15 @@ class GramFactor:
     cancellation in x - p; alg1 now records no hyperplane for such a
     roundoff step (ROUNDOFF_STEP), and those failures do not recur.
 
-    GramFactor() starts an empty factor that append grows by one row with
-    one triangular solve: O(rank^2) per row, never a refactor.
-    GramFactor.of(G) factors a whole G with one LAPACK call (dpotrf), keeps
-    its leading rows up to the first pivot that fails the rank rule, and
-    appends the rows from there on one by one.
+    GramFactor() starts an empty factor, with no storage until append
+    grows it by one row with one triangular solve: O(rank^2) per row, never
+    a refactor.  GramFactor.of(G) factors a whole G with one LAPACK call
+    (dpotrf), keeps its leading rows up to the first pivot that fails the
+    rank rule, and appends the rows from there on one by one.  When every
+    pivot passes (and h = 0, below), the dpotrf triangle is the whole
+    factor, and solve is one dpotrs on the right-hand side itself, with no
+    row appended, picked out or scattered: the same arithmetic, and the
+    case of every benchmark window and dense oracle stack.
 
     GramFactor.of(G, h), for a G whose leading h x h block is diagonal with
     a positive diagonal (h mutually orthogonal nonzero rows), takes one
@@ -144,8 +159,7 @@ class GramFactor:
     def __init__(self):
         self.h = 0
         self.root = self.L21 = None  # the leading block's, when h > 0
-        self.T = np.zeros((8, 8), order="F")
-        self.kept = np.zeros(8, dtype=np.intp)
+        self.T, self.kept = _NO_TRIANGLE, _NO_ROWS  # append allocates on its first row
         self.rank = 0
         self.size = 0
 
@@ -178,13 +192,12 @@ class GramFactor:
         if h:
             f.h, f.root = h, np.sqrt(g[:h])
             f.L21 = rows[:, :h] / f.root
-            f.T = np.zeros((0, 0), order="F")
         if h < k:
             f.T, info = lapack.dpotrf(rows[:, h:] - f.L21 @ f.L21.T if h else rows,
                                       lower=1, clean=1)
             done = info - 1 if info else k - h
-        passed = f.T.diagonal()[:done] ** 2 > RCOND * g[h:h + done]
-        j = h + (done if passed.all() else int(np.argmin(passed)))
+        passed = (f.T.diagonal()[:done] ** 2 > RCOND * g[h:h + done]).tolist()
+        j = h + (passed.index(False) if False in passed else done)
         f.kept, f.rank, f.size = np.arange(k), j, j
         for i in range(j, k):
             f.append(rows[i - h, :i + 1])
@@ -225,10 +238,13 @@ class GramFactor:
 
     def solve(self, rhs) -> np.ndarray:
         """lambda with G lambda = rhs on the kept rows and 0 elsewhere: for
-        h > 0, by blocks, in O(h (k - h) + (k - h)^2)."""
-        lam = np.zeros(self.size)
+        h > 0, by blocks, in O(h (k - h) + (k - h)^2).  When every row is
+        kept and h = 0, lambda is dpotrs's solution itself."""
         h = self.h
         r = self.rank - h
+        if r == self.size and r:  # then h = 0, and kept is 0, 1, ..., r - 1
+            return lapack.dpotrs(self.T[:r, :r], rhs, lower=1)[0]
+        lam = np.zeros(self.size)
         kept = self.kept[h:self.rank]
         b = rhs[kept]
         if h:

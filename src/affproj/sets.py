@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import TOL_FEAS, GramFactor, as_matrix, as_point, gram_solve, norm
+from .linalg import (TOL_FEAS, GramFactor, _check_finite, as_matrix, as_point, gram_solve,
+                     norm)
 # This module does not call lstsq_min_norm, but perfbench/spans.py wraps
 # affproj.sets.lstsq_min_norm for its per-layer split, so the name stays here.
 from .linalg import lstsq_min_norm  # noqa: F401
@@ -72,11 +73,13 @@ class Hyperplane(AffineSet):
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", a := as_point(self.normal))
+        a = np.asarray(self.normal, dtype=float).reshape(-1)
+        square = _check_finite(a, "point")  # a.a, the one dot of as_point's check
+        object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
         if not math.isfinite(self.offset):
             raise ValueError("offset is not finite")
-        if not a.dot(a) and not a.any():  # a.a underflows to 0 for a 1e-200 normal
+        if not square and not a.any():  # a.a underflows to 0 for a 1e-200 normal
             raise ValueError("the normal of a hyperplane must not be zero")
 
     @property
@@ -96,8 +99,9 @@ class Hyperplane(AffineSet):
 
 def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: GramFactor):
     """Project x onto {y : <a_j, y> = b_j for j in rows}, the rows of A
-    (normals) and b (offsets) listed by rows, given the GramFactor of those
-    rows in that order.
+    (normals) and b (offsets) listed by rows, distinct row indices or None
+    for every row of A in order, given the GramFactor of those rows in that
+    order.
 
     Three mat-vecs over A (the residual b - A x, the correction A^T lam and
     the feasibility check) and one factor solve, which goes through
@@ -105,17 +109,26 @@ def _window_step(x: np.ndarray, A: np.ndarray, b: np.ndarray, rows, factor: Gram
     listed row, so callers can attribute the correction sum(lam_j * a_j)
     term by term; x itself, not a copy, when rows is empty.  Raises
     InfeasibleIntersectionError when a listed row is
-    missed by more than TOL_FEAS * max(1, max |b_j|).
+    missed by more than TOL_FEAS * max(1, max |b_j|).  The rows are picked
+    out only where that can change a result: not for rows None, nor for
+    the worst miss when rows lists every row of A; and max |b_j| is read
+    only when the worst miss is above TOL_FEAS.
     """
-    if not len(rows):
+    if rows is None:
+        lam = gram_solve(factor, b - A @ x)
+        p = lam @ A
+    elif not len(rows):
         return x, np.zeros(0)
-    lam = gram_solve(factor, (b - A @ x)[rows])
-    weights = np.zeros(A.shape[0])
-    weights[rows] = lam
-    p = weights @ A
+    else:
+        lam = gram_solve(factor, (b - A @ x)[rows])
+        weights = np.zeros(A.shape[0])
+        weights[rows] = lam
+        p = weights @ A
     p += x
-    worst = np.abs((b - A @ p)[rows]).max()
-    if worst > TOL_FEAS * max(1.0, np.abs(b[rows]).max()):
+    miss = np.abs(b - A @ p)
+    worst = (miss if rows is None or len(rows) == len(A) else miss[rows]).max()
+    if worst > TOL_FEAS and worst > TOL_FEAS * max(
+            1.0, np.abs(b if rows is None else b[rows]).max()):
         raise InfeasibleIntersectionError(
             f"hyperplane family is inconsistent (residual {worst:.3e})")
     return p, lam
@@ -136,7 +149,7 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
         return x.copy()
     A = np.vstack([h.normal for h in hyperplanes])
     b = np.array([h.offset for h in hyperplanes])
-    return _window_step(x, A, b, np.arange(len(A)), GramFactor.of(A @ A.T))[0]
+    return _window_step(x, A, b, None, GramFactor.of(A @ A.T))[0]
 
 
 # The size and density cuts of _unit_row_factor's sparse path; its

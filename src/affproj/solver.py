@@ -61,8 +61,15 @@ class HyperplaneBuffer:
     ring of q rows under LastQ(q) (entry j in row j % q), and under All() an
     array whose capacity doubles when full.  Each hyperplane adds its row
     and column of the Gram matrix of the stored rows with one mat-vec over
-    them, O(q n).  Under LastQ the ring's q x q Gram matrix is kept, and
-    each correction factors its window's block afresh with one LAPACK call.
+    them, O(q n).  Under LastQ the ring's Gram matrix is kept doubled, as
+    2q x 2q slots with slot t on ring row t % q, so that the block of any
+    window, in window order, is a view: slots s .. s + k - 1 with s the
+    window's start mod q.  Each correction factors that block with one
+    dpotrf and solves it with one dpotrs (GramFactor.of's full-rank case),
+    with no copy, index array or factor bookkeeping of its own; a window
+    whose factor leaves a row out takes the general rank rule.  A factor
+    that slides (drops the oldest row, appends the newest) would cost
+    more: an O(q^2) update in Python is slower than one dpotrf at q <= 5.
     Under All() every window is the previous one plus at most one row, so
     the new Gram column goes straight into the window's GramFactor, O(q^2),
     which is never refactored; the Gram matrix itself is not kept, because
@@ -75,8 +82,9 @@ class HyperplaneBuffer:
         self.policy = policy
         self.generated: List[Tuple[int, Hyperplane]] = []
         self.ring = policy.q if isinstance(policy, LastQ) else None
-        self.normals = self.offsets = self.gram = None  # allocated by the first entry
+        self.normals = self.offsets = self.gram = self.tiles = None  # allocated by the first entry
         self.factor = None if self.ring else GramFactor()
+        self.slots = np.arange(2 * self.ring) % self.ring if self.ring else None
 
     def append(self, h: Hyperplane, set_index: int) -> None:
         """Record h, found by a projection onto set set_index."""
@@ -87,7 +95,8 @@ class HyperplaneBuffer:
             self.normals = np.zeros((cap, h.dim))
             self.offsets = np.zeros(cap)
             if self.ring:
-                self.gram = np.zeros((cap, cap))
+                self.tiles = np.zeros((2, cap, 2, cap))  # [a, i, b, j]: slots a q + i, b q + j
+                self.gram = self.tiles.reshape(2 * cap, 2 * cap)
         elif m == len(self.normals) and not self.ring:
             self.normals = np.concatenate([self.normals, np.zeros_like(self.normals)])
             self.offsets = np.concatenate([self.offsets, np.zeros_like(self.offsets)])
@@ -97,8 +106,8 @@ class HyperplaneBuffer:
         self.offsets[row] = h.offset
         g = self.normals[:filled] @ h.normal
         if self.ring:
-            self.gram[row, :filled] = g
-            self.gram[:filled, row] = g
+            self.tiles[:, row, :, :filled] = g
+            self.tiles[:, :filled, :, row] = g[:, None]
         else:
             self.factor.append(g)
 
@@ -118,17 +127,17 @@ class HyperplaneBuffer:
     def window(self, selected: range):
         """(normals, offsets, rows, factor) for the window `selected`: the
         stored rows, the rows of its entries in order (entry j in row j % q
-        of the ring), and the GramFactor of those rows (under All() the one
+        of the ring; None when they are all the stored rows in order, as
+        under All()), and the GramFactor of those rows (under All() the one
         grown by append, under LastQ the ring's block factored afresh)."""
         if not selected:
             return None, None, np.arange(0), GramFactor()
-        rows = np.arange(selected.start, selected.stop)
         if not self.ring:
-            return self.normals[:selected.stop], self.offsets[:selected.stop], rows, self.factor
-        rows %= self.ring
+            return self.normals[:selected.stop], self.offsets[:selected.stop], None, self.factor
+        s, k = selected.start % self.ring, len(selected)
         A = self.normals[:min(selected.stop, self.ring)]
-        G = self.gram.take(rows, 0).take(rows, 1)
-        return A, self.offsets[:len(A)], rows, GramFactor.of(G)
+        rows = None if s == 0 and k == len(A) else self.slots[s:s + k]
+        return A, self.offsets[:len(A)], rows, GramFactor.of(self.gram[s:s + k, s:s + k])
 
 
 @dataclass(frozen=True)

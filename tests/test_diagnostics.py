@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affproj import linalg
+from affproj import diagnostics, linalg, mmup
 from affproj.diagnostics import (StepDecomposition, check_b_prime, check_condition_b,
                                  condition_report, count_fejer_violations,
                                  running_sum_of_squares, step_decompositions)
@@ -205,6 +205,26 @@ def test_alg1_decompositions_match_the_coefficient_reference(family, policy, sto
     rep = condition_report(r, member)
     assert rep.sum_of_squares == running_sum_of_squares(step_decompositions(r))
     assert rep.b_prime_ratios == check_b_prime(step_decompositions(r))
+
+
+@pytest.mark.parametrize("case", ["rows-LastQ(3)", "rows-All()", "experiment1-LastQ(3)"])
+def test_step_decompositions_measure_no_span(monkeypatch, case):
+    """step_decompositions reads only the decompositions: it calls no
+    window_residual and grows no SpanBasis, and its decompositions are bit
+    for bit those of the measuring pass that condition_report makes."""
+    if case.startswith("experiment1"):
+        prob, _ = mmup.experiment1()
+        sets, x0 = prob.sets, prob.flatten(prob.x0)
+    else:
+        sets, x0, _ = random_family(9, dim=12, k=3, codim=3)
+    policy = All() if case.endswith("All()") else LastQ(3)
+    r = run_alg1(sets, x0, policy=policy, stop=StoppingRule(1e-10, 400))
+    measured = [d for _, d in diagnostics._corrections(r)]
+    calls = []
+    monkeypatch.setattr(diagnostics, "window_residual", lambda *args: calls.append(args))
+    monkeypatch.setattr(linalg.SpanBasis, "extend", lambda *args: calls.append(args))
+    assert step_decompositions(r) == measured
+    assert calls == [] and len(measured) == r.iterations
 
 
 def test_fallback_corrections_have_no_coefficients():

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affproj.linalg import (GramFactor, SpanBasis, as_matrix, as_point, gram_solve, inner,
-                            lstsq_min_norm, norm, window_residual)
+from scipy.linalg import lapack
+
+from affproj import sets as sets_module
+from affproj import solver
+from affproj.linalg import (RCOND, GramFactor, SpanBasis, as_matrix, as_point, gram_solve,
+                            inner, lstsq_min_norm, norm, window_residual)
+from affproj.sets import Hyperplane, RowConstraintSet
 
 
 def test_inner_orthogonal_vectors():
@@ -272,6 +277,134 @@ def test_gram_solve_rejects_a_factor_of_another_size():
         gram_solve(GramFactor.of(np.eye(3)), [1.0, 2.0])
     with pytest.raises(ValueError):
         GramFactor().append(np.ones(2))
+
+
+# -- the full-rank factor against the general rank rule ----------------------
+
+def reference_of(G):
+    """GramFactor.of on a dense G with h = 0 as it was before the full-rank
+    case skipped its bookkeeping, kept as the reference: rows after the
+    first failing pivot are appended one by one."""
+    f = GramFactor()
+    k = G.shape[0]
+    if not k:
+        return f
+    g = G.diagonal()
+    f.T, info = lapack.dpotrf(G, lower=1, clean=1)
+    done = info - 1 if info else k
+    passed = f.T.diagonal()[:done] ** 2 > RCOND * g[:done]
+    j = done if passed.all() else int(np.argmin(passed))
+    f.kept, f.rank, f.size = np.arange(k), j, j
+    for i in range(j, k):
+        f.append(G[i, :i + 1])
+    return f
+
+
+def reference_solve(f, rhs):
+    """GramFactor.solve for h = 0 as it was, kept as the reference: lambda on
+    the kept rows from one dpotrs, 0 elsewhere."""
+    lam = np.zeros(f.size)
+    kept = f.kept[:f.rank]
+    if f.rank:
+        lam[kept] = lapack.dpotrs(f.T[:f.rank, :f.rank], rhs[kept], lower=1)[0]
+    return lam
+
+
+def fallback_trigger(G):
+    """How the rank rule meets G: "stops" when dpotrf stops (info > 0),
+    "pivot" when it finishes but a pivot is <= RCOND g_jj, else "full"."""
+    T, info = lapack.dpotrf(G, lower=1, clean=1)
+    if info:
+        return "stops"
+    return "full" if (T.diagonal() ** 2 > RCOND * G.diagonal()).all() else "pivot"
+
+
+def assert_same_factor(f, ref, rhs):
+    """f and ref hold the same bits, and solve rhs to the same bits."""
+    np.testing.assert_array_equal(f.T, ref.T)
+    np.testing.assert_array_equal(f.kept, ref.kept)
+    assert (f.rank, f.size, f.h) == (ref.rank, ref.size, ref.h)
+    assert np.array_equal(gram_solve(f, rhs), reference_solve(ref, rhs))
+
+
+def ring_block(A, start):
+    """The Gram matrix of A's rows as a HyperplaneBuffer ring stores it: a
+    q x q block, starting at slot start, of the doubled 2q x 2q matrix (a
+    strided view, where the parent took a contiguous copy)."""
+    q = len(A)
+    order = (np.arange(q) - start) % q  # ring row of each row of A
+    G = (A @ A.T)[np.ix_(order, order)]
+    return np.block([[G, G], [G, G]])[start:start + q, start:start + q]
+
+
+E4 = np.eye(4)
+NEAR = E4[0] + 1e-7 * E4[3]  # 1 + 1e-14 is a double: dpotrf's last pivot is 1e-14 > 0
+
+
+@pytest.mark.parametrize("rows,trigger", [
+    *[(np.random.default_rng(q).standard_normal((q, 40)), "full") for q in range(1, 7)],
+    (np.vstack([E4[0], E4[1], E4[0]]), "stops"),   # a repeated normal: a zero pivot
+    (np.vstack([E4[2], E4[0], E4[1], NEAR]), "pivot"),
+], ids=[f"full-q{q}" for q in range(1, 7)] + ["repeat-stops", "near-pivot"])
+@pytest.mark.parametrize("start", [0, 1])
+def test_full_rank_factor_does_the_general_arithmetic(rows, trigger, start):
+    """GramFactor.of and solve agree bit for bit with the reference, on
+    Gram blocks read the way the ring stores them: full-rank Gaussian
+    blocks for q = 1..6, and both fallback triggers."""
+    G = ring_block(rows, start % len(rows))
+    assert fallback_trigger(G) == trigger
+    rhs = np.random.default_rng(len(rows)).standard_normal(len(rows))
+    f = GramFactor.of(G)
+    assert_same_factor(f, reference_of(np.ascontiguousarray(G)), rhs)
+    assert (f.rank == len(rows)) == (trigger == "full")
+
+
+def test_lastq_windows_do_the_general_arithmetic(monkeypatch):
+    """run_alg1 under LastQ(3), its hyperplanes scripted: unit normals, an
+    exact repeat (dpotrf stops) and a row 1e-7 rad from e0 (a pivot fails),
+    each hyperplane through z.  Every window's factor and solve, rotated
+    in the ring or not, match the reference bit for bit, and the run's
+    coefficients are the reference's."""
+    script = [E4[0], E4[1], E4[0], E4[2], NEAR, E4[3], E4[1], E4[1], E4[2], E4[0], NEAR, E4[3]]
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(4)
+    family = [RowConstraintSet(C, C @ z) for C in rng.standard_normal((2, 1, 4))]
+    x0 = z + 0.01 * rng.standard_normal(4)
+    for s in family:  # each set factors its own row on its first call
+        s.residual(x0)
+    found = iter(script)
+
+    def scripted(x, path, d):
+        a = next(found)
+        return a, float(a @ z)
+
+    made, solved = {}, []
+    of, solve = GramFactor.of.__func__, sets_module.gram_solve
+
+    def spy_of(cls, G, h=0):
+        f = of(cls, G, h)
+        made[id(f)] = (np.array(G), f)
+        return f
+
+    def spy_solve(factor, rhs):
+        solved.append((factor, np.array(rhs)))
+        return solve(factor, rhs)
+
+    monkeypatch.setattr(solver, "_displacement_hyperplane", scripted)
+    monkeypatch.setattr(GramFactor, "of", classmethod(spy_of))
+    monkeypatch.setattr(sets_module, "gram_solve", spy_solve)
+    r = solver.run_alg1(family, x0, policy=solver.LastQ(3),
+                        stop=solver.StoppingRule(0.0, 2 * len(script)))
+    assert r.iterations == len(script) and not r.warnings
+    assert {w.start % 3 for w in r.selected_history if len(w) == 3} == {0, 1, 2}
+    triggers = [fallback_trigger(G) for G, _ in made.values()]
+    assert {"stops", "pivot", "full"} <= set(triggers)
+    assert len(solved) == len(made) == len(script)
+    for (factor, rhs), lam in zip(solved, r.coefficients):
+        G, f = made[id(factor)]
+        ref = reference_of(G)
+        assert_same_factor(f, ref, rhs)
+        assert np.array_equal(lam, reference_solve(ref, rhs))
 
 
 @settings(max_examples=60, deadline=None)
