@@ -329,8 +329,9 @@ def assert_same_factor(f, ref, rhs):
 
 def ring_block(A, start):
     """The Gram matrix of A's rows as a HyperplaneBuffer ring stores it: a
-    q x q block, starting at slot start, of the doubled 2q x 2q matrix (a
-    strided view, where the parent took a contiguous copy)."""
+    q x q block, starting at slot start, of the doubled 2q x 2q matrix, a
+    strided view.  The reference factors a contiguous copy of it, as taken
+    by the ring's former take calls."""
     q = len(A)
     order = (np.arange(q) - start) % q  # ring row of each row of A
     G = (A @ A.T)[np.ix_(order, order)]
@@ -347,7 +348,7 @@ NEAR = E4[0] + 1e-7 * E4[3]  # 1 + 1e-14 is a double: dpotrf's last pivot is 1e-
     (np.vstack([E4[2], E4[0], E4[1], NEAR]), "pivot"),
 ], ids=[f"full-q{q}" for q in range(1, 7)] + ["repeat-stops", "near-pivot"])
 @pytest.mark.parametrize("start", [0, 1])
-def test_full_rank_factor_does_the_general_arithmetic(rows, trigger, start):
+def test_ring_block_factor_does_the_general_arithmetic(rows, trigger, start):
     """GramFactor.of and solve agree bit for bit with the reference, on
     Gram blocks read the way the ring stores them: full-rank Gaussian
     blocks for q = 1..6, and both fallback triggers."""
