@@ -4,18 +4,20 @@ Every set that can export a row-constraint form {x : C x = d} can be
 stacked into one big consistent system whose solution set is exactly
 the intersection; the projection of any point onto it then takes one
 Cholesky factor of the unit-row Gram matrix of C, the same factor a
-RowConstraintSet keeps (sets._unit_row_factor).  A stack with a sparse
-export (mmup's S and V are CSR) of at least 2^15 entries is CSR itself;
-its Gram matrix is a sparse product that is never made dense, its leading
-mutually orthogonal rows stay a diagonal block of the factor, and only
-the rows that couple get a dense Cholesky factor, of their Schur
-complement.  On the n = 20 chain's 1 240-row stack those are V's 60 rows:
-the factor holds a 60 x 1 180 block and a 60 x 60 triangle, not the two
-12 MB 1 240 x 1 240 arrays of a dense Gram matrix and L, and the call
-takes about 1 ms on one thread.  A smaller stack is dense, and a dense
-stack is factored whole (see _unit_row_factor); its Gram matrix and L are
-k x k, so the oracle, which exists to validate the iterative solvers, is
-capped at a few thousand rows.
+RowConstraintSet keeps (sets._unit_row_factor).  The oracle takes C as it
+comes, dense or CSR, checked finite with d, and the Gram path follows
+C's form.  A stack with a sparse export (mmup's S and V are CSR) of at
+least 2^15 entries is CSR itself; its Gram matrix is a sparse product
+that is never made dense, its leading mutually orthogonal rows stay a
+diagonal block of the factor, and only the rows that couple get a dense
+Cholesky factor, of their Schur complement.  On the n = 20 chain's
+1 240-row stack those are V's 60 rows: the factor holds a 60 x 1 180
+block and a 60 x 60 triangle, not the two 12 MB 1 240 x 1 240 arrays of
+a dense Gram matrix and L, and the call takes about 1 ms on one thread.
+A smaller stack is dense, and a dense stack is factored whole with
+C @ C.T, however many of its entries are zero; its Gram matrix and L
+are k x k, so the oracle, which exists to validate the iterative
+solvers, is capped at a few thousand rows.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import as_point, gram_solve
-from .sets import AffineSet, _is_sparse, _unit_row_factor
+from .linalg import _check_finite, as_point, gram_solve
+from .sets import AffineSet, _is_sparse, _row_matrix, _unit_row_factor
 
 MAX_ROWS = 5000
 
@@ -94,7 +96,8 @@ def stack(sets: Sequence[AffineSet]):
 
 def direct_projection(x0, rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Projection of x0 onto the solution set of rows = (C, d), as stack()
-    returns it, with C dense or scipy.sparse.
+    returns it, with C dense or scipy.sparse (taken in CSR form).  C and d
+    are checked finite: a NaN or infinite entry raises ValueError.
 
     With the rows scaled to unit length, S C x = S d for S = diag(s),
     solves (S C C^T S) lam = S (C x0 - d) with the GramFactor of that
@@ -106,8 +109,10 @@ def direct_projection(x0, rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """
     x0 = as_point(x0)
     C, d = rows
-    if C.shape[1] != x0.shape[0] or np.shape(d) != C.shape[:1]:
-        raise ValueError(f"dimension mismatch: C of shape {C.shape}, d of shape "
-                         f"{np.shape(d)}, point of dim {x0.shape[0]}")
-    A, s, factor = _unit_row_factor(C, d)
-    return x0 - A.T @ (s * gram_solve(factor, s * (A @ x0 - d)))
+    C, d = _row_matrix(C), np.asarray(d, dtype=float)
+    if C.shape[1] != x0.shape[0] or d.shape != C.shape[:1]:
+        raise ValueError(f"dimension mismatch: C of shape {C.shape}, right-hand side d of "
+                         f"shape {d.shape}, point of dim {x0.shape[0]}")
+    _check_finite(d, "right-hand side d")
+    s, factor = _unit_row_factor(C, d)
+    return x0 - C.T @ (s * gram_solve(factor, s * (C @ x0 - d)))

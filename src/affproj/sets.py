@@ -5,10 +5,11 @@ what the accelerated solvers record, a row-constraint set {x : C x = d},
 or any other subclass that implements an exact project() (mmup's S and V
 are two).  A hyperplane's normal is never zero: a projection step that
 identifies no hyperplane records none.  A row-constraint set and the
-oracle factor {x : C x = d} alike (_unit_row_factor): one GramFactor of
-the unit-row Gram matrix, whose rank rule leaves dependent rows out, with
-the Gram matrix formed from C in CSR form when C is sparse, and the
-factor of its leading mutually orthogonal rows kept as a diagonal.
+oracle take C dense or CSR, checked finite (_row_matrix), and factor
+{x : C x = d} alike (_unit_row_factor): one GramFactor of the unit-row
+Gram matrix C C^T, whose rank rule leaves dependent rows out.  A CSR C
+keeps its Gram matrix CSR, and the factor of its leading mutually
+orthogonal rows is kept as a diagonal.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class AffineSet:
 
     def rows(self):
         """Row-constraint form (C, d), or None when unavailable.  C may be
-        a scipy.sparse matrix (mmup's S exports CSR), d is a dense vector."""
+        a scipy.sparse matrix (mmup's S and V export CSR), d is a dense
+        vector."""
         return None
 
 
@@ -152,30 +154,6 @@ def project_hyperplane_intersection(x, hyperplanes: Sequence[Hyperplane]) -> np.
     return _window_step(x, A, b, None, GramFactor.of(A @ A.T))[0]
 
 
-# The size and density cuts of _unit_row_factor's sparse path; its
-# docstring gives the measured crossover.
-SPARSE_MIN_ENTRIES = 1 << 20
-SPARSE_MAX_DENSITY = 0.01
-
-
-def _sparse_copy(C: np.ndarray):
-    """A CSR copy of a dense C when C is large and sparse (see
-    _unit_row_factor), else None.  A small C is not scanned; a large one is
-    scanned once, into a mask of its nonzeros."""
-    if C.size < SPARSE_MIN_ENTRIES:
-        return None
-    mask = C != 0
-    if np.count_nonzero(mask) > SPARSE_MAX_DENSITY * C.size:
-        return None
-    # imported here, since importing scipy.sparse adds 1.7 MB to the peak
-    # memory of a process whose stacks are all dense
-    from scipy.sparse import csr_matrix
-    m, n = C.shape
-    flat = np.flatnonzero(mask)
-    indptr = np.searchsorted(flat, np.arange(0, m * n + 1, n))
-    return csr_matrix((C[mask], flat % n, indptr), shape=C.shape)
-
-
 def _is_sparse(C) -> bool:
     """Whether C is a scipy.sparse matrix; a numpy array does not import
     scipy.sparse to tell."""
@@ -185,47 +163,45 @@ def _is_sparse(C) -> bool:
     return issparse(C)
 
 
+def _row_matrix(C):
+    """C as a float64 matrix checked finite: a scipy.sparse C in CSR form,
+    its stored entries checked by one dot product, any other C through
+    as_matrix, which a numpy array or a list reaches without importing
+    scipy.sparse."""
+    if isinstance(C, (np.ndarray, list)) or not _is_sparse(C):
+        return as_matrix(C)
+    C = C.tocsr().astype(float, copy=False)
+    _check_finite(C.data, "matrix")
+    return C
+
+
 def _unit_row_factor(C, d: np.ndarray):
-    """(A, s, factor): A is C, or a CSR form of it (see below), for the
-    caller's products with C; s_i = 1 / ||c_i|| scales the rows of C to
-    unit length (a zero row keeps 1); factor is the GramFactor of
-    S C C^T S, S = diag(s).  When the factor leaves a row out, raises
-    InfeasibleSetError if the least-norm point C^T S lam,
-    lam = factor.solve(S d), misses S C x = S d, the rows left out
-    included, by more than TOL_FEAS * max(1, ||S d||); that miss is
-    ||G lam - S d||, G = S C C^T S, so no product with C.  When the factor
-    keeps every row, C has full row rank and C x = d has a solution for
-    every d, so there is nothing to check and no solve is made.
+    """(s, factor) for C as _row_matrix returns it, dense or CSR:
+    s_i = 1 / ||c_i|| scales the rows of C to unit length (a zero row
+    keeps 1); factor is the GramFactor of S C C^T S, S = diag(s).  When the
+    factor leaves a row out, raises InfeasibleSetError if the least-norm
+    point C^T S lam, lam = factor.solve(S d), misses S C x = S d, the rows
+    left out included, by more than TOL_FEAS * max(1, ||S d||); that miss
+    is ||G lam - S d||, G = S C C^T S, so no product with C.  When the
+    factor keeps every row, C has full row rank and C x = d has a solution
+    for every d, so there is nothing to check and no solve is made.
 
-    C C^T is formed one of two ways.  A scipy.sparse C (the pencil stacks,
-    whose S export is CSR) is used as a CSR matrix A directly, and so is
-    the CSR copy of a dense C with at least SPARSE_MIN_ENTRIES (2^20)
-    entries of which at most SPARSE_MAX_DENSITY (1%) are nonzero.  Every
-    other C takes the dense C @ C.T, and a smaller one is not scanned: on
-    a row family's 160 x 400 stack, masking and counting its nonzeros
-    takes 19 us, against 0.24 ms for C @ C.T in an oracle call of about
-    0.65 ms.  The crossover was measured on uniform random patterns in
-    1024 x 1024, 1240 x 1600, 600 x 2048, 2048 x 600 and 2700 x 3600
-    stacks (one thread): the CSR product broke even at 2.5-4% nonzero and
-    was 4-6x faster at 1%.  The two products sum in another order, so
-    their factors differ by roundoff.
-
-    On the CSR path the Gram matrix stays CSR: it is scaled entry by
-    stored entry, and its structure gives h, the number of leading rows of
-    nonzero length with no stored entry left of the diagonal, mutually
-    orthogonal rows.  GramFactor.of(G, h) reads only G's diagonal and its
-    rows h: (made dense there), keeps the first h rows' factor as a
-    diagonal, and the consistency check is a sparse mat-vec with G.  On
-    the n = 20 pencil chain that is S's 1 180 rows of 1 240, on experiment
-    2 2 670 of 2 700, so no k x k array is made.  A dense C keeps h = 0,
-    one dpotrf on the whole G.
+    The Gram matrix is C @ C.T, in C's own form.  A dense C keeps h = 0,
+    one dpotrf on the whole G.  A CSR C (the pencil stacks, whose S and V
+    exports are CSR) gives a CSR G: it is scaled entry by stored entry, and
+    its structure gives h, the number of leading rows of nonzero length
+    with no stored entry left of the diagonal, mutually orthogonal rows.
+    GramFactor.of(G, h) reads only G's diagonal and its rows h: (made dense
+    there), keeps the first h rows' factor as a diagonal, and the
+    consistency check is a sparse mat-vec with G.  On the n = 20 pencil
+    chain that is S's 1 180 rows of 1 240, on experiment 2 2 670 of 2 700,
+    so no k x k array is made.
     """
-    A = C.tocsr() if _is_sparse(C) else _sparse_copy(C)
-    G = C @ C.T if A is None else A @ A.T
+    G = C @ C.T
     lengths = np.sqrt(G.diagonal())
     s = 1.0 / np.where(lengths > 0.0, lengths, 1.0)
-    if A is None:
-        A, h = C, 0
+    if isinstance(C, np.ndarray):
+        h = 0
         G *= s[:, None]
         G *= s
     else:
@@ -240,11 +216,12 @@ def _unit_row_factor(C, d: np.ndarray):
     if factor.rank < factor.size and (
             norm(G @ factor.solve(sd) - sd) > TOL_FEAS * max(1.0, norm(sd))):
         raise InfeasibleSetError("row system C x = d is inconsistent")
-    return A, s, factor
+    return s, factor
 
 
 class RowConstraintSet(AffineSet):
-    """{x : C x = d}.
+    """{x : C x = d}, with C dense or scipy.sparse; a sparse C is kept in
+    CSR form and its products with points are sparse.
 
     The first projection or residual factors the system as the oracle
     does (_unit_row_factor, under GramFactor's rank rule), L L^T on the
@@ -258,7 +235,7 @@ class RowConstraintSet(AffineSet):
     """
 
     def __init__(self, C, d):
-        self.C = as_matrix(C)
+        self.C = _row_matrix(C)
         self.d = as_point(d)
         if self.C.shape[0] != self.d.shape[0]:
             raise ValueError(f"dimension mismatch: {self.C.shape[0]} rows vs rhs of dim "
@@ -269,7 +246,7 @@ class RowConstraintSet(AffineSet):
     def _scaled_gap(self, x):
         """(x, B^T (C x - d)) with x checked against the dimension."""
         if self._half_pinv is None:
-            _, s, factor = _unit_row_factor(self.C, self.d)
+            s, factor = _unit_row_factor(self.C, self.d)
             r, kept = factor.rank, factor.kept[:factor.rank]
             B = np.zeros((self.C.shape[0], r))
             if r:  # dtrtri rejects an empty matrix

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+import affproj
 from affproj import oracle, sets
 from affproj.linalg import GramFactor, inner, lstsq_min_norm, norm
 from affproj.mmup import (PencilData, TargetPair, TargetSpectrum, build_problem, experiment1,
@@ -375,17 +380,17 @@ def test_an_inconsistent_stack_with_a_dependent_row_raises_from_set_and_oracle(d
 
 
 def _sparse_stack(seed, shift=0.0):
-    """(C, d, x0): 800 rows in dim 1 400, 0.4% Gaussian entries and 2 added
-    on the diagonal (full row rank), then rows 3, 17 and 29 again (the
-    copy of row 29 with d moved by shift): 803 x 1 400 = 1 124 200
-    entries, 0.47% nonzero, so the CSR path forms the Gram matrix."""
+    """(C, d, x0), C in CSR form: 800 rows in dim 1 400, 0.4% Gaussian
+    entries and 2 added on the diagonal (full row rank), then rows 3, 17
+    and 29 again (the copy of row 29 with d moved by shift): 803 x 1 400,
+    0.47% nonzero."""
     rng = np.random.default_rng(seed)
     C = np.where(rng.random((800, 1400)) < 0.004, rng.standard_normal((800, 1400)), 0.0)
     C[np.arange(800), np.arange(800)] += 2.0
     C = np.vstack([C, C[[3, 17, 29]]])
     d = C @ rng.standard_normal(1400)
     d[-1] += shift
-    return C, d, rng.standard_normal(1400)
+    return scipy.sparse.csr_matrix(C), d, rng.standard_normal(1400)
 
 
 @pytest.mark.parametrize("make", [
@@ -393,14 +398,14 @@ def _sparse_stack(seed, shift=0.0):
     pytest.param(lambda: _pencil_stack(experiment2()[0]), id="experiment2"),
     pytest.param(lambda: _sparse_stack(0), id="sparse-with-duplicates"),
 ])
-def test_the_sparse_gram_factors_like_the_dense_one(make, monkeypatch):
+def test_the_sparse_gram_factors_like_the_dense_one(make):
+    """The CSR path, with its diagonal block, and the dense path, one dpotrf
+    on C @ C.T, factor the same stack alike."""
     C, d, _ = make()
-    A, s, sparse = sets._unit_row_factor(C, d)
-    assert scipy.sparse.issparse(A)
-    C = C.toarray() if scipy.sparse.issparse(C) else C
-    monkeypatch.setattr(sets, "SPARSE_MIN_ENTRIES", np.iinfo(np.int64).max)  # no stack is large
-    B, t, dense = sets._unit_row_factor(C, d)
-    assert B is C
+    assert scipy.sparse.issparse(C)
+    s, sparse = sets._unit_row_factor(C, d)
+    t, dense = sets._unit_row_factor(C.toarray(), d)
+    assert sparse.h > 0 == dense.h
     r = dense.rank
     assert (sparse.rank, sparse.size) == (r, dense.size)
     np.testing.assert_array_equal(sparse.kept[:r], dense.kept[:r])
@@ -411,7 +416,7 @@ def test_the_sparse_gram_factors_like_the_dense_one(make, monkeypatch):
 
 def test_an_inconsistent_sparse_stack_raises_from_oracle_and_set():
     C, d, x0 = _sparse_stack(1, shift=1e-3)
-    assert sets._sparse_copy(C) is not None
+    assert scipy.sparse.issparse(C)
     with pytest.raises(InfeasibleSetError):
         direct_projection(x0, (C, d))
     with pytest.raises(InfeasibleSetError):
@@ -421,8 +426,7 @@ def test_an_inconsistent_sparse_stack_raises_from_oracle_and_set():
 def test_the_dense_gram_is_c_times_its_transpose_bit_for_bit():
     rng = np.random.default_rng(13)
     C = rng.standard_normal((160, 400))
-    A, s, factor = sets._unit_row_factor(C, C @ rng.standard_normal(400))
-    assert A is C
+    s, factor = sets._unit_row_factor(C, C @ rng.standard_normal(400))
     G = C @ C.T
     lengths = np.sqrt(np.diag(G))
     np.testing.assert_array_equal(s, 1.0 / lengths)
@@ -436,26 +440,32 @@ def _dense(C, d, x0):
 
 
 @pytest.mark.parametrize("make,sparse", [
-    pytest.param(lambda: _dense(*_pencil_stack(_chain_twin())), True, id="pencil-twin"),
+    pytest.param(lambda: _pencil_stack(_chain_twin()), True, id="pencil-twin"),
     pytest.param(lambda: _sparse_stack(2), True, id="sparse-with-duplicates"),
+    pytest.param(lambda: _dense(*_sparse_stack(2)), False, id="sparse-with-duplicates-dense"),
     pytest.param(lambda: _consistent(np.random.default_rng(14).standard_normal((160, 400)), 14),
                  False, id="gaussian-160x400"),
     pytest.param(lambda: _consistent(np.random.default_rng(15).standard_normal((1100, 1000)),
                                      15), False, id="gaussian-1100x1000"),
     pytest.param(lambda: _consistent(np.eye(1000)[:900], 16), False, id="small-identity"),
 ])
-def test_the_gram_path_follows_size_and_density(make, sparse, monkeypatch):
-    """Only a dense stack of at least 2^20 entries, at most 1% of them
-    nonzero, is copied to CSR (the pencil twin's, made dense); a smaller
-    one takes the dense path however sparse it is (900 x 1 000 identity
-    rows, 0.1%), and a large dense one after its one scan."""
+def test_the_gram_path_follows_the_input_type(make, sparse, monkeypatch):
+    """A CSR stack (the pencil twin's, and 803 x 1 400 at 0.47% nonzero)
+    is factored from a CSR Gram matrix; a dense one from the dense C @ C.T,
+    and no CSR matrix is made from it, however large or sparse it is (the
+    803 x 1 400 stack made dense, 1 100 x 1 000 Gaussian, 900 x 1 000
+    identity rows at 0.1%)."""
     C, d, x0 = make()
-    copies = []
-    csr_matrix = scipy.sparse.csr_matrix
-    monkeypatch.setattr(scipy.sparse, "csr_matrix",
-                        lambda *a, **k: copies.append(1) or csr_matrix(*a, **k))
+    assert scipy.sparse.issparse(C) == sparse
+    made, grams, of = [], [], GramFactor.of
+    init = scipy.sparse.csr_matrix.__init__
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(GramFactor, "of", lambda G, lead=0: grams.append(G) or of(G, lead))
     direct_projection(x0, (C, d))
-    assert copies == ([1] if sparse else [])
+    [G] = grams
+    assert scipy.sparse.issparse(G) == sparse
+    assert (made != []) == sparse
 
 
 @pytest.mark.parametrize("make,h,left_out", [
@@ -519,13 +529,82 @@ def test_a_small_stack_is_dense_even_with_a_sparse_export(family, sparse):
 
 
 def test_a_large_sparse_row_set_projects_like_the_oracle():
-    """A dense-stored C large and sparse enough for the CSR path factors with
-    a leading orthogonal block (h = 4 of 803 rows here, three left out), so
-    the set's triangular inverse reads the L that the factor assembles."""
+    """A CSR C factors with a leading orthogonal block (h = 4 of 803 rows
+    here, three left out), so the set's triangular inverse reads the L
+    that the factor assembles."""
     C, d, x0 = _sparse_stack(3)
-    assert sets._unit_row_factor(C, d)[2].h > 0
+    assert sets._unit_row_factor(C, d)[1].h > 0
     p = RowConstraintSet(C, d).project(x0)
     assert norm(p - direct_projection(x0, (C, d))) <= 1e-12 * max(1.0, norm(x0))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _prefix_stack(1, dependent=True), id="prefix-stack-dense-export"),
+    pytest.param(lambda: _sparse_stack(4), id="sparse-with-duplicates-csr-export"),
+])
+def test_a_csr_row_set_projects_like_the_dense_one(make):
+    """A row set keeps a CSR C as CSR for its products and its export: its
+    projection, its residual and the oracle on its stacked rows agree with
+    the set of the same C made dense.  The 102 x 120 stack is below the
+    oracle's sparse size cut, so stack() makes it dense; the 803 x 1 400
+    one stays CSR."""
+    C, d, x0 = make()
+    sparse, dense = RowConstraintSet(C, d), RowConstraintSet(C.toarray(), d)
+    assert sparse.C is C and sparse.rows()[0] is C
+    tol = 1e-12 * max(1.0, norm(x0))
+    p = dense.project(x0)
+    assert norm(sparse.project(x0) - p) <= tol
+    assert abs(sparse.residual(x0) - dense.residual(x0)) <= tol
+    assert norm(direct_projection(x0, stack([sparse])) - p) <= tol
+    C = C.copy()
+    C.data[5] = np.nan
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        RowConstraintSet(C, d)
+
+
+def test_a_dense_row_system_does_not_import_scipy_sparse():
+    """A row set of a numpy array or a list, its projection and the oracle
+    on their dense stack tell dense from sparse without importing
+    scipy.sparse, which adds 1.7 MB to the peak memory of a process whose
+    rows are all dense."""
+    code = """if True:
+        import sys
+        import numpy as np
+        from affproj.oracle import direct_projection, stack
+        from affproj.sets import RowConstraintSet
+        family = [RowConstraintSet([[1.0, 0.0, 0.0]], [1.0]),
+                  RowConstraintSet(np.eye(3)[1:], np.ones(2))]
+        for s in family:
+            s.project(np.zeros(3))
+        direct_projection(np.zeros(3), stack(family))
+        sys.exit("scipy.sparse" in sys.modules)"""
+    src = str(Path(affproj.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("where,value", [
+    pytest.param("d", np.nan, id="nan-in-d"),
+    pytest.param("d", np.inf, id="inf-in-d"),
+    pytest.param("dense", np.nan, id="nan-in-dense-C"),
+    pytest.param("csr", -np.inf, id="inf-in-csr-C"),
+])
+def test_the_oracle_rejects_non_finite_rows(where, value):
+    """A NaN or infinite entry in d, in a dense C or in a CSR C's stored
+    entries raises ValueError naming what holds it; each used to return a
+    point of NaNs."""
+    C, d, x0 = _random_stack(17)
+    d = d.copy()
+    if where == "d":
+        d[4] = value
+    elif where == "dense":
+        C[3, 7] = value
+    else:
+        C = scipy.sparse.csr_matrix(C)
+        C.data[9] = value
+    what = "right-hand side d" if where == "d" else "matrix"
+    with pytest.raises(ValueError, match=f"{what} contains non-finite entries"):
+        direct_projection(x0, (C, d))
 
 
 @pytest.mark.parametrize("row", [pytest.param(-2, id="repeated-block-row"),
