@@ -46,13 +46,14 @@ def _check_finite(v: np.ndarray, what: str) -> float:
     return square
 
 
-def as_point(x) -> np.ndarray:
+def as_point(x, what: str = "point") -> np.ndarray:
     """Coerce to a 1-d float64 vector, checked finite by one dot product
-    (see the module docstring)."""
+    (see the module docstring); the ValueError for a non-finite entry
+    names the vector as what."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         v = v.reshape(-1)
-    _check_finite(v, "point")
+    _check_finite(v, what)
     return v
 
 

@@ -224,46 +224,62 @@ class RowConstraintSet(AffineSet):
     CSR form and its products with points are sparse.
 
     The first projection or residual factors the system as the oracle
-    does (_unit_row_factor, under GramFactor's rank rule), L L^T on the
-    kept rows, and keeps B = S L^-T there (one triangular inverse,
-    dtrtri, of the whole dense L, which a factor with a diagonal block
-    assembles for it) with zero rows for the rows left out.  Each later call costs
-    a few mat-vecs: with r = C x - d, P(x) = x - C^T B B^T r and the
-    distance is ||B^T r||.  C and d are not copied and must not be
-    mutated after the first call.  When the system is inconsistent,
-    every call raises InfeasibleSetError.
+    does (_unit_row_factor, under GramFactor's rank rule): L L^T on the
+    kept rows of the unit-row Gram matrix S C C^T S.  For a dense C it then
+    keeps U = L^-1 (S C)[kept] and u = L^-1 (S d)[kept], two triangular
+    solves: U's rows are an orthonormal basis of C's row space (Golub & Van
+    Loan, Matrix Computations, 5.2), so P(x) = x - U^T (U x - u) and the
+    distance is ||U x - u||, two mat-vecs and one.  A CSR C projects as
+    the oracle does, x - C^T S lam with lam = factor.solve(S (C x - d)),
+    so no dense k x k or k x dim array is made.  C and d are not copied
+    and must not be mutated after the first call.  When the system is
+    inconsistent, every call raises InfeasibleSetError.
     """
 
     def __init__(self, C, d):
         self.C = _row_matrix(C)
-        self.d = as_point(d)
+        self.d = as_point(d, "right-hand side d")
         if self.C.shape[0] != self.d.shape[0]:
             raise ValueError(f"dimension mismatch: {self.C.shape[0]} rows vs rhs of dim "
                              f"{self.d.shape[0]}")
         self.dim = self.C.shape[1]
-        self._half_pinv = None
+        self._basis = None
 
-    def _scaled_gap(self, x):
-        """(x, B^T (C x - d)) with x checked against the dimension."""
-        if self._half_pinv is None:
+    def _gap(self, x):
+        """(x, y) with x checked against the dimension: y = U x - u for a
+        dense C, and for a CSR C the coefficients S lam of the correction
+        C^T S lam."""
+        if self._basis is None:
             s, factor = _unit_row_factor(self.C, self.d)
-            r, kept = factor.rank, factor.kept[:factor.rank]
-            B = np.zeros((self.C.shape[0], r))
-            if r:  # dtrtri rejects an empty matrix
-                B[kept] = s[kept, None] * lapack.dtrtri(factor.L[:r, :r], lower=1)[0].T
-            self._half_pinv = B
+            if isinstance(self.C, np.ndarray):
+                r, kept = factor.rank, factor.kept[:factor.rank]
+                U, u = s[kept, None] * self.C[kept], s[kept] * self.d[kept]
+                if r:  # dtrtrs rejects an empty matrix
+                    L = factor.L[:r, :r]
+                    U = np.ascontiguousarray(lapack.dtrtrs(L, U, lower=1)[0])
+                    u = lapack.dtrtrs(L, u, lower=1)[0]
+                self._basis = U, u
+            else:
+                self._basis = s, factor
         x = as_point(x)
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} columns vs point of dim "
                              f"{x.shape[0]}")
-        return x, self._half_pinv.T @ (self.C @ x - self.d)
+        if isinstance(self.C, np.ndarray):
+            U, u = self._basis
+            return x, U @ x - u
+        s, factor = self._basis
+        return x, s * gram_solve(factor, s * (self.C @ x - self.d))
 
     def project(self, x):
-        x, y = self._scaled_gap(x)
-        return x - self.C.T @ (self._half_pinv @ y)
+        x, y = self._gap(x)
+        if isinstance(self.C, np.ndarray):
+            return x - y @ self._basis[0]
+        return x - self.C.T @ y
 
     def residual(self, x) -> float:
-        return norm(self._scaled_gap(x)[1])
+        x, y = self._gap(x)
+        return norm(y if isinstance(self.C, np.ndarray) else self.C.T @ y)
 
     def rows(self):
         return self.C, self.d

@@ -538,6 +538,24 @@ def test_a_large_sparse_row_set_projects_like_the_oracle():
     assert norm(p - direct_projection(x0, (C, d))) <= 1e-12 * max(1.0, norm(x0))
 
 
+def test_a_csr_row_set_projects_the_twin_without_a_k_by_k_array():
+    """A CSR row set projects through the oracle's block factor: on the
+    twin's 1 240 x 1 600 stack, its first projection makes no dense
+    1 240 x 1 240 array.  A set that kept B = S L^-T, from a triangular
+    inverse of the assembled L, peaked at 37.6 MB traced."""
+    C, d, x0 = _pencil_stack(_chain_twin())
+    assert scipy.sparse.issparse(C)
+    s = RowConstraintSet(C, d)
+    tracemalloc.start()
+    try:
+        p = s.project(x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    assert norm(p - direct_projection(x0, (C, d))) <= 1e-14 * max(1.0, norm(x0))
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _prefix_stack(1, dependent=True), id="prefix-stack-dense-export"),
     pytest.param(lambda: _sparse_stack(4), id="sparse-with-duplicates-csr-export"),
@@ -605,6 +623,14 @@ def test_the_oracle_rejects_non_finite_rows(where, value):
     what = "right-hand side d" if where == "d" else "matrix"
     with pytest.raises(ValueError, match=f"{what} contains non-finite entries"):
         direct_projection(x0, (C, d))
+
+
+@pytest.mark.parametrize("value", [pytest.param(np.nan, id="nan-in-d"),
+                                   pytest.param(np.inf, id="inf-in-d")])
+def test_a_row_set_rejects_a_non_finite_right_hand_side(value):
+    """The set names d, as the oracle does; it used to name a point."""
+    with pytest.raises(ValueError, match="right-hand side d contains non-finite entries"):
+        RowConstraintSet(np.eye(2), [1.0, value])
 
 
 @pytest.mark.parametrize("row", [pytest.param(-2, id="repeated-block-row"),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affproj.linalg import inner, norm
 from affproj.oracle import direct_projection, stack
 from affproj.sets import (AffineSet, Hyperplane, InfeasibleIntersectionError,
-                          InfeasibleSetError, RowConstraintSet,
+                          InfeasibleSetError, RowConstraintSet, _unit_row_factor,
                           project_hyperplane_intersection)
 
 
@@ -332,3 +333,62 @@ def test_row_constraint_dimension_mismatch_raises():
         RowConstraintSet([[1.0, 0.0]], [0.0, 1.0]).project([1.0, 2.0])
     with pytest.raises(ValueError):
         RowConstraintSet([[1.0, 0.0]], [0.0]).residual([1.0, 2.0, 3.0])
+
+
+# -- the orthonormal row basis of a dense row set ---------------------------
+
+def test_the_row_basis_is_orthonormal():
+    """A rowfam-size set (40 Gaussian rows in dim 400) keeps U with
+    orthonormal rows."""
+    rng = np.random.default_rng(97)
+    C = rng.standard_normal((40, 400))
+    s = RowConstraintSet(C, C @ rng.standard_normal(400))
+    s.project(np.zeros(400))
+    U = s._basis[0]
+    assert U.shape == (40, 400)
+    assert np.abs(U @ U.T - np.eye(40)).max() <= 1e-12
+
+
+def _basis_family(kind):
+    """(C, d, x0): 40 Gaussian rows in dim 400 ("gaussian"), 30 of them
+    and copies of rows 3, 11 and 29 ("duplicates"), each row scaled by
+    1e-8 or 1e8 ("scaled"), or one row ("one-row"); d is C times a
+    Gaussian point."""
+    rng = np.random.default_rng([kind == "one-row", 41])
+    C = rng.standard_normal((1 if kind == "one-row" else 40, 400))
+    if kind == "duplicates":
+        C = np.vstack([C[:30], C[[3, 11, 29]]])
+    elif kind == "scaled":
+        C *= 10.0 ** rng.choice([-8.0, 8.0], (40, 1))
+    return C, C @ rng.standard_normal(400), 3.0 * rng.standard_normal(400)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "duplicates", "scaled", "one-row"])
+def test_the_row_basis_projects_like_the_oracle(kind):
+    C, d, x0 = _basis_family(kind)
+    if kind == "duplicates":
+        factor = _unit_row_factor(C, d)[1]
+        assert (factor.rank, factor.size) == (30, 33)
+    s = RowConstraintSet(C, d)
+    ref = direct_projection(x0, (C, d))
+    tol = 1e-12 * max(1.0, norm(x0))
+    assert norm(s.project(x0) - ref) <= tol
+    assert abs(s.residual(x0) - norm(x0 - ref)) <= tol
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_a_residual_makes_no_projection(sparse):
+    """residual reads the distance off its own mat-vecs, for a dense or a
+    CSR C, without calling project."""
+    calls = []
+
+    class CountingSet(RowConstraintSet):
+        def project(self, x):
+            calls.append(1)
+            return super().project(x)
+
+    C, d, x0 = _basis_family("duplicates")
+    s = CountingSet(scipy.sparse.csr_matrix(C) if sparse else C, d)
+    dist = s.residual(x0)
+    assert not calls
+    assert dist == pytest.approx(norm(x0 - s.project(x0)), rel=1e-12)

@@ -495,8 +495,12 @@ def test_alg2_reports_infeasible_set(index):
     (run_alg2, {"policy": LastQ(2)}, [1, 2, 1, 2, 1, 2, 1]),  # set 0 is kept by the lift
 ], ids=["run_map", "run_alg1", "run_alg2"])
 def test_drivers_visit_the_sets_in_fixed_cyclic_order(runner, kwargs, order):
-    sets, x0, _ = random_family(12, dim=6, k=3, codim=1)
+    # two rows per set in dim 10: no run meets its residual exactly, so each
+    # one makes every iteration (one-row sets in dim 6 let alg2 land on the
+    # intersection, residual 0.0, after 3 iterations)
+    sets, x0, _ = random_family(12, dim=10, k=3, codim=2)
     r = runner(sets, x0, stop=StoppingRule(0.0, 30), **kwargs)
+    assert r.stop_reason == "max-iter"
     firsts = [rec.set_index for rec in r.trace if rec.phase == "set-projection"]
     assert firsts[:len(order)] == order
 
