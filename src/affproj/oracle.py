@@ -4,7 +4,9 @@ Every set that can export a row-constraint form {x : C x = d} can be
 stacked into one big consistent system whose solution set is exactly
 the intersection; the projection of any point onto it then takes one
 Cholesky factor of the unit-row Gram matrix of C, the same factor a
-RowConstraintSet keeps (sets._unit_row_factor).  The oracle takes C as it
+RowConstraintSet makes (sets._unit_row_factor): a CSR set solves with it
+as the oracle does, and a dense one turns it into an orthonormal basis of
+its row space.  The oracle takes C as it
 comes, dense or CSR, checked finite with d, and the Gram path follows
 C's form.  A stack with a sparse export (mmup's S and V are CSR) of at
 least 2^15 entries is CSR itself; its Gram matrix is a sparse product

@@ -9,7 +9,9 @@ oracle take C dense or CSR, checked finite (_row_matrix), and factor
 {x : C x = d} alike (_unit_row_factor): one GramFactor of the unit-row
 Gram matrix C C^T, whose rank rule leaves dependent rows out.  A CSR C
 keeps its Gram matrix CSR, and the factor of its leading mutually
-orthogonal rows is kept as a diagonal.
+orthogonal rows is kept as a diagonal.  A dense row set turns its factor
+into an orthonormal basis of its row space; a CSR one projects through
+the factor's solve, as the oracle does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import solve_triangular
 
 from .linalg import (TOL_FEAS, GramFactor, _check_finite, as_matrix, as_point, gram_solve,
                      norm)
@@ -252,13 +254,12 @@ class RowConstraintSet(AffineSet):
         if self._basis is None:
             s, factor = _unit_row_factor(self.C, self.d)
             if isinstance(self.C, np.ndarray):
-                r, kept = factor.rank, factor.kept[:factor.rank]
-                U, u = s[kept, None] * self.C[kept], s[kept] * self.d[kept]
-                if r:  # dtrtrs rejects an empty matrix
-                    L = factor.L[:r, :r]
-                    U = np.ascontiguousarray(lapack.dtrtrs(L, U, lower=1)[0])
-                    u = lapack.dtrtrs(L, u, lower=1)[0]
-                self._basis = U, u
+                kept = factor.kept[:factor.rank]
+                L = factor.L[:factor.rank, :factor.rank]
+                U = solve_triangular(L, s[kept, None] * self.C[kept], lower=True)
+                # C order, so both mat-vecs read U by rows
+                self._basis = (np.ascontiguousarray(U),
+                               solve_triangular(L, s[kept] * self.d[kept], lower=True))
             else:
                 self._basis = s, factor
         x = as_point(x)
