@@ -6,16 +6,16 @@ the intersection; the projection of any point onto it then takes one
 Cholesky factor of the unit-row Gram matrix of C, the same factor a
 RowConstraintSet makes (sets._unit_row_factor): a CSR set solves with it
 as the oracle does, and a dense one turns it into an orthonormal basis of
-its row space.  The oracle takes C as it
-comes, dense or CSR, checked finite with d, and the Gram path follows
-C's form.  A stack with a sparse export (mmup's S and V are CSR) of at
-least 2^15 entries is CSR itself; its Gram matrix is a sparse product
-that is never made dense, its leading mutually orthogonal rows stay a
-diagonal block of the factor, and only the rows that couple get a dense
-Cholesky factor, of their Schur complement.  On the n = 20 chain's
-1 240-row stack those are V's 60 rows: the factor holds a 60 x 1 180
-block and a 60 x 60 triangle, not the two 12 MB 1 240 x 1 240 arrays of
-a dense Gram matrix and L, and the call takes about 1 ms on one thread.
+its row space.  The oracle takes C as it comes, dense or CSR, checked
+finite with d, and the Gram path follows C's form.  A stack with a
+sparse export (mmup's S and V are CSR) of at least 2^15 entries is CSR
+itself; its Gram matrix is a sparse product that is never made dense,
+its leading mutually orthogonal rows stay a diagonal block of the
+factor, and only the rows that couple get a dense Cholesky factor, of
+their Schur complement.  On the n = 20 chain's 1 240-row stack those are
+V's 60 rows: the factor holds a 60 x 1 180 block and a 60 x 60 triangle,
+not the two 12 MB 1 240 x 1 240 arrays of a dense Gram matrix and L, and
+the call takes about 1 ms on one thread.
 A smaller stack is dense, and a dense stack is factored whole with
 C @ C.T, however many of its entries are zero; its Gram matrix and L
 are k x k, so the oracle, which exists to validate the iterative

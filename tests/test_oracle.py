@@ -530,8 +530,7 @@ def test_a_small_stack_is_dense_even_with_a_sparse_export(family, sparse):
 
 def test_a_large_sparse_row_set_projects_like_the_oracle():
     """A CSR C factors with a leading orthogonal block (h = 4 of 803 rows
-    here, three left out), so the set's triangular inverse reads the L
-    that the factor assembles."""
+    here, three left out), and the set solves with that block factor."""
     C, d, x0 = _sparse_stack(3)
     assert sets._unit_row_factor(C, d)[1].h > 0
     p = RowConstraintSet(C, d).project(x0)
@@ -628,7 +627,7 @@ def test_the_oracle_rejects_non_finite_rows(where, value):
 @pytest.mark.parametrize("value", [pytest.param(np.nan, id="nan-in-d"),
                                    pytest.param(np.inf, id="inf-in-d")])
 def test_a_row_set_rejects_a_non_finite_right_hand_side(value):
-    """The set names d, as the oracle does; it used to name a point."""
+    """The set's error names d, as the oracle's does, not a point."""
     with pytest.raises(ValueError, match="right-hand side d contains non-finite entries"):
         RowConstraintSet(np.eye(2), [1.0, value])
 

@@ -354,7 +354,7 @@ def _basis_family(kind):
     and copies of rows 3, 11 and 29 ("duplicates"), each row scaled by
     1e-8 or 1e8 ("scaled"), or one row ("one-row"); d is C times a
     Gaussian point."""
-    rng = np.random.default_rng([kind == "one-row", 41])
+    rng = np.random.default_rng(41)
     C = rng.standard_normal((1 if kind == "one-row" else 40, 400))
     if kind == "duplicates":
         C = np.vstack([C[:30], C[[3, 11, 29]]])

@@ -417,7 +417,7 @@ _ALG1_CANCELLATION = pytest.mark.xfail(
     "1e-12 gives a hyperplane that misses the intersection")
 
 
-# seed 27 passes by roundoff alone: it misses by 7.8e-7, under the bound but 78 times stop_tol
+# seed 27 passes by roundoff alone: it misses by 7.2e-7, under the bound but 72 times stop_tol
 @pytest.mark.parametrize("seed,q", [pytest.param(21, 3, marks=_ALG1_CANCELLATION),
                                     pytest.param(21, 5, marks=_ALG1_CANCELLATION), (27, 3)])
 def test_alg1_last_q_lands_on_the_direct_projection(seed, q):
@@ -495,9 +495,8 @@ def test_alg2_reports_infeasible_set(index):
     (run_alg2, {"policy": LastQ(2)}, [1, 2, 1, 2, 1, 2, 1]),  # set 0 is kept by the lift
 ], ids=["run_map", "run_alg1", "run_alg2"])
 def test_drivers_visit_the_sets_in_fixed_cyclic_order(runner, kwargs, order):
-    # two rows per set in dim 10: no run meets its residual exactly, so each
-    # one makes every iteration (one-row sets in dim 6 let alg2 land on the
-    # intersection, residual 0.0, after 3 iterations)
+    # two rows per set in dim 10, where no run meets stop_tol = 0 exactly, so
+    # each one makes every iteration and visits at least 7 sets
     sets, x0, _ = random_family(12, dim=10, k=3, codim=2)
     r = runner(sets, x0, stop=StoppingRule(0.0, 30), **kwargs)
     assert r.stop_reason == "max-iter"
